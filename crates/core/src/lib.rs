@@ -57,6 +57,7 @@ pub mod obs;
 pub mod pairing;
 pub mod policy;
 pub mod runlog;
+pub mod step;
 pub mod trainer;
 
 pub use checkpoint::{config_fingerprint, Checkpoint, CheckpointManager, CheckpointPolicy};
@@ -64,9 +65,10 @@ pub use config::{CriticMode, PairUpLightConfig, PairingMode};
 pub use error::TrainError;
 pub use fault::FaultPlan;
 pub use message::{MessageChannel, MessageLossPolicy};
-pub use model::{ActorBuffers, ActorNet, ActorOut, CriticBuffers, CriticNet};
+pub use model::{ActorNet, ActorOut, CriticNet, InferBuffers};
 pub use obs::{HealthConfig, ObsEncoder, ObsHealth, ObsNorm};
 pub use pairing::PairingTable;
 pub use policy::PolicySnapshot;
 pub use runlog::{RunLogger, UpdateRecord};
+pub use step::{PolicyStep, Selection, StepInput};
 pub use trainer::{PairUpLight, PairUpLightController, Rollout, TrainEpisode};

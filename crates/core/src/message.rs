@@ -166,21 +166,17 @@ impl MessageChannel {
         self.head = 0;
     }
 
-    /// Publishes one message per agent, starting a new generation.
+    /// Publishes one message per agent (`num_agents × bandwidth`
+    /// scalars, agent-major), starting a new generation.
     ///
     /// # Panics
     ///
-    /// Panics if `messages` does not hold `num_agents` rows of
-    /// `bandwidth` scalars each.
-    pub fn publish(&mut self, messages: &[Vec<f32>]) {
-        assert_eq!(messages.len(), self.num_agents, "publish agent count");
+    /// Panics if `messages` has the wrong length.
+    pub fn publish(&mut self, messages: &[f32]) {
+        let len = self.num_agents * self.bandwidth;
+        assert_eq!(messages.len(), len, "publish length");
         self.head = (self.head + 1) % self.depth;
-        let gen_base = self.head * self.num_agents * self.bandwidth;
-        for (a, msg) in messages.iter().enumerate() {
-            assert_eq!(msg.len(), self.bandwidth, "publish bandwidth");
-            let base = gen_base + a * self.bandwidth;
-            self.ring[base..base + self.bandwidth].copy_from_slice(msg);
-        }
+        self.ring[self.head * len..(self.head + 1) * len].copy_from_slice(messages);
     }
 
     /// The message `agent` published in the most recent generation
@@ -305,7 +301,7 @@ mod tests {
         use tsc_sim::chaos::{AgentSel, ChaosPlan, Window};
 
         fn publish_round(ch: &mut MessageChannel, base: f32) {
-            let msgs: Vec<Vec<f32>> = (0..2).map(|a| vec![base + a as f32 * 0.1]).collect();
+            let msgs: Vec<f32> = (0..2).map(|a| base + a as f32 * 0.1).collect();
             ch.publish(&msgs);
         }
 
@@ -375,8 +371,7 @@ mod tests {
             let plan = ChaosPlan::default().message_drop(Window::always(), AgentSel::All, 0.5);
             let mut ch = MessageChannel::new(8, 1, MessageLossPolicy::ZeroFill);
             ch.set_faults(plan.comms().to_vec(), 3);
-            let msgs: Vec<Vec<f32>> = (0..8).map(|_| vec![1.0]).collect();
-            ch.publish(&msgs);
+            ch.publish(&[1.0; 8]);
             let mut out = [0.0f32];
             let mut drops = 0;
             for t in 0..64u32 {

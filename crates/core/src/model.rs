@@ -12,92 +12,52 @@ use rand::Rng;
 
 use tsc_nn::{Graph, Init, Linear, LstmCell, LstmScratch, LstmState, Params, Tensor, Var};
 
-/// Reusable activation buffers for the tape-free actor forward pass
-/// ([`ActorNet::infer`]). All tensors are sized on first use and then
-/// reused allocation-free; [`alloc_events`](Self::alloc_events) counts
-/// (re)allocations so tests can assert a zero-allocation steady state.
-#[derive(Debug, Clone)]
-pub struct ActorBuffers {
+/// Reusable activation buffers for the tape-free forward passes
+/// [`ActorNet::infer`] and [`CriticNet::infer`]. All tensors are sized
+/// on first use and then reused allocation-free;
+/// [`alloc_events`](Self::alloc_events) counts (re)allocations so tests
+/// can assert a zero-allocation steady state.
+#[derive(Debug, Clone, Default)]
+pub struct InferBuffers {
     fc: Tensor,
     scratch: LstmScratch,
     /// Next LSTM hidden output `h'` (`batch × lstm_hidden`).
     pub h: Tensor,
     /// Next LSTM cell state `c'` (`batch × lstm_hidden`).
     pub c: Tensor,
-    /// Policy logits (`batch × max_phases`).
-    pub logits: Tensor,
-    /// Raw outgoing messages (`batch × bandwidth`; left `0 × 0` when
-    /// the communication module is ablated).
+    /// Head output: policy logits (`batch × max_phases`) for the
+    /// actor, state values (`batch × 1`) for the critic.
+    pub out: Tensor,
+    /// The actor's raw outgoing messages (`batch × bandwidth`; left
+    /// `0 × 0` for the critic and when communication is ablated).
     pub message: Tensor,
     allocs: u64,
 }
 
-impl ActorBuffers {
-    /// Empty buffers, sized lazily by the first [`ActorNet::infer`].
-    pub fn new() -> Self {
-        ActorBuffers {
-            fc: Tensor::zeros(0, 0),
-            scratch: LstmScratch::new(),
-            h: Tensor::zeros(0, 0),
-            c: Tensor::zeros(0, 0),
-            logits: Tensor::zeros(0, 0),
-            message: Tensor::zeros(0, 0),
-            allocs: 0,
-        }
-    }
-
+impl InferBuffers {
     /// Cumulative buffer (re)allocation count. Constant across steps
     /// once shapes have stabilized — the inference path's allocation
     /// probe.
     pub fn alloc_events(&self) -> u64 {
         self.allocs
     }
-}
 
-impl Default for ActorBuffers {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Reusable activation buffers for [`CriticNet::infer`]; see
-/// [`ActorBuffers`].
-#[derive(Debug, Clone)]
-pub struct CriticBuffers {
-    fc: Tensor,
-    scratch: LstmScratch,
-    /// Next LSTM hidden output (`batch × lstm_hidden`).
-    pub h: Tensor,
-    /// Next LSTM cell state (`batch × lstm_hidden`).
-    pub c: Tensor,
-    /// State values (`batch × 1`).
-    pub value: Tensor,
-    allocs: u64,
-}
-
-impl CriticBuffers {
-    /// Empty buffers, sized lazily by the first [`CriticNet::infer`].
-    pub fn new() -> Self {
-        CriticBuffers {
-            fc: Tensor::zeros(0, 0),
-            scratch: LstmScratch::new(),
-            h: Tensor::zeros(0, 0),
-            c: Tensor::zeros(0, 0),
-            value: Tensor::zeros(0, 0),
-            allocs: 0,
+    /// The `FC → ReLU → LSTM → head` pass both networks share, in the
+    /// tape path's exact operation order.
+    fn trunk_and_head(
+        &mut self,
+        params: &Params,
+        (fc, lstm, head): (&Linear, &LstmCell, &Linear),
+        x: &Tensor,
+        (h_prev, c_prev): (&Tensor, &Tensor),
+    ) {
+        self.allocs += fc.infer_into(params, x, &mut self.fc);
+        for v in self.fc.data_mut() {
+            *v = v.max(0.0);
         }
-    }
-
-    /// Cumulative buffer (re)allocation count (see
-    /// [`ActorBuffers::alloc_events`]).
-    pub fn alloc_events(&self) -> u64 {
-        self.allocs
-    }
-}
-
-impl Default for CriticBuffers {
-    fn default() -> Self {
-        Self::new()
+        let (scratch, h, c) = (&mut self.scratch, &mut self.h, &mut self.c);
+        self.allocs += lstm.infer_into(params, &self.fc, h_prev, c_prev, scratch, h, c);
+        self.allocs += head.infer_into(params, &self.h, &mut self.out);
     }
 }
 
@@ -108,8 +68,6 @@ pub struct ActorNet {
     lstm: LstmCell,
     policy_head: Linear,
     message_head: Option<Linear>,
-    obs_dim: usize,
-    bandwidth: usize,
 }
 
 /// Output of one actor forward pass (graph nodes).
@@ -169,24 +127,7 @@ impl ActorNet {
             lstm,
             policy_head,
             message_head,
-            obs_dim,
-            bandwidth,
         }
-    }
-
-    /// Local-observation dimension (message excluded).
-    pub fn obs_dim(&self) -> usize {
-        self.obs_dim
-    }
-
-    /// Message bandwidth.
-    pub fn bandwidth(&self) -> usize {
-        self.bandwidth
-    }
-
-    /// LSTM hidden width.
-    pub fn lstm_hidden(&self) -> usize {
-        self.lstm.hidden()
     }
 
     /// Forward pass from an already-assembled input
@@ -215,7 +156,7 @@ impl ActorNet {
     /// [`forward`](Self::forward) on the same inputs: `x` is the
     /// assembled `batch × (obs_dim + bandwidth)` input, `h_prev` /
     /// `c_prev` the previous LSTM state, and all activations land in
-    /// `buf` (logits, raw message, next `h` / `c`). Records no autograd
+    /// `buf` (logits in `out`, raw message, next `h` / `c`). Records no autograd
     /// tape and allocates nothing once `buf`'s shapes have stabilized,
     /// which is what makes the serving hot loop and rollout collection
     /// cheap.
@@ -225,26 +166,13 @@ impl ActorNet {
         x: &Tensor,
         h_prev: &Tensor,
         c_prev: &Tensor,
-        buf: &mut ActorBuffers,
+        buf: &mut InferBuffers,
     ) {
-        let mut allocs = self.fc.infer_into(params, x, &mut buf.fc);
-        for v in buf.fc.data_mut() {
-            *v = v.max(0.0);
-        }
-        allocs += self.lstm.infer_into(
-            params,
-            &buf.fc,
-            h_prev,
-            c_prev,
-            &mut buf.scratch,
-            &mut buf.h,
-            &mut buf.c,
-        );
-        allocs += self.policy_head.infer_into(params, &buf.h, &mut buf.logits);
+        let layers = (&self.fc, &self.lstm, &self.policy_head);
+        buf.trunk_and_head(params, layers, x, (h_prev, c_prev));
         if let Some(mh) = &self.message_head {
-            allocs += mh.infer_into(params, &buf.h, &mut buf.message);
+            buf.allocs += mh.infer_into(params, &buf.h, &mut buf.message);
         }
-        buf.allocs += allocs;
     }
 
     /// Convenience single-step forward from plain tensors: returns
@@ -274,7 +202,6 @@ pub struct CriticNet {
     fc: Linear,
     lstm: LstmCell,
     value_head: Linear,
-    input_dim: usize,
 }
 
 impl CriticNet {
@@ -308,18 +235,7 @@ impl CriticNet {
             fc,
             lstm,
             value_head,
-            input_dim,
         }
-    }
-
-    /// Input dimension.
-    pub fn input_dim(&self) -> usize {
-        self.input_dim
-    }
-
-    /// LSTM hidden width.
-    pub fn lstm_hidden(&self) -> usize {
-        self.lstm.hidden()
     }
 
     /// Forward pass with explicit previous-state vars; returns the
@@ -366,23 +282,10 @@ impl CriticNet {
         x: &Tensor,
         h_prev: &Tensor,
         c_prev: &Tensor,
-        buf: &mut CriticBuffers,
+        buf: &mut InferBuffers,
     ) {
-        let mut allocs = self.fc.infer_into(params, x, &mut buf.fc);
-        for v in buf.fc.data_mut() {
-            *v = v.max(0.0);
-        }
-        allocs += self.lstm.infer_into(
-            params,
-            &buf.fc,
-            h_prev,
-            c_prev,
-            &mut buf.scratch,
-            &mut buf.h,
-            &mut buf.c,
-        );
-        allocs += self.value_head.infer_into(params, &buf.h, &mut buf.value);
-        buf.allocs += allocs;
+        let layers = (&self.fc, &self.lstm, &self.value_head);
+        buf.trunk_and_head(params, layers, x, (h_prev, c_prev));
     }
 }
 
@@ -465,9 +368,9 @@ mod tests {
         };
         let mut g = Graph::new();
         let (out, next) = actor.step(&mut g, &params, x.clone(), &state);
-        let mut buf = ActorBuffers::new();
+        let mut buf = InferBuffers::default();
         actor.infer(&params, &x, &state.h, &state.c, &mut buf);
-        assert_eq!(&buf.logits, g.value(out.logits));
+        assert_eq!(&buf.out, g.value(out.logits));
         assert_eq!(&buf.message, g.value(out.message.unwrap()));
         assert_eq!(buf.h, next.h);
         assert_eq!(buf.c, next.c);
@@ -491,14 +394,82 @@ mod tests {
         };
         let mut g = Graph::new();
         let (v, next) = critic.step(&mut g, &params, x.clone(), &state);
-        let mut buf = CriticBuffers::new();
+        let mut buf = InferBuffers::default();
         critic.infer(&params, &x, &state.h, &state.c, &mut buf);
-        assert_eq!(&buf.value, g.value(v));
+        assert_eq!(&buf.out, g.value(v));
         assert_eq!(buf.h, next.h);
         assert_eq!(buf.c, next.c);
         let after_first = buf.alloc_events();
         critic.infer(&params, &x, &state.h, &state.c, &mut buf);
         assert_eq!(buf.alloc_events(), after_first);
+    }
+
+    /// Row `r` of `t` as a standalone `1 × cols` tensor.
+    fn row(t: &Tensor, r: usize) -> Tensor {
+        Tensor::row_from_slice(t.row(r))
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The property the batched policy step rests on: an `N`-row
+    /// forward with distinct per-row inputs and states equals `N`
+    /// separate 1-row forwards, bit for bit.
+    #[test]
+    fn batched_infer_equals_per_row_infer() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut params = Params::new();
+        let actor = ActorNet::new(&mut params, 8, 2, 16, 12, 4, &mut rng);
+        let critic = CriticNet::new(&mut params, 14, 16, 12, &mut rng);
+        let n = 5;
+        let state = |rng: &mut StdRng| LstmState {
+            h: Tensor::randn(n, 12, 0.5, rng),
+            c: Tensor::randn(n, 12, 0.5, rng),
+        };
+        let (ax, ast) = (Tensor::randn(n, 10, 1.0, &mut rng), state(&mut rng));
+        let (cx, cst) = (Tensor::randn(n, 14, 1.0, &mut rng), state(&mut rng));
+        let mut abatch = InferBuffers::default();
+        actor.infer(&params, &ax, &ast.h, &ast.c, &mut abatch);
+        let mut cbatch = InferBuffers::default();
+        critic.infer(&params, &cx, &cst.h, &cst.c, &mut cbatch);
+        let mut a1 = InferBuffers::default();
+        let mut c1 = InferBuffers::default();
+        for r in 0..n {
+            actor.infer(
+                &params,
+                &row(&ax, r),
+                &row(&ast.h, r),
+                &row(&ast.c, r),
+                &mut a1,
+            );
+            assert_eq!(
+                bits(a1.out.data()),
+                bits(abatch.out.row(r)),
+                "actor logits row {r}"
+            );
+            assert_eq!(
+                bits(a1.message.data()),
+                bits(abatch.message.row(r)),
+                "message row {r}"
+            );
+            assert_eq!(bits(a1.h.data()), bits(abatch.h.row(r)), "actor h row {r}");
+            assert_eq!(bits(a1.c.data()), bits(abatch.c.row(r)), "actor c row {r}");
+            critic.infer(
+                &params,
+                &row(&cx, r),
+                &row(&cst.h, r),
+                &row(&cst.c, r),
+                &mut c1,
+            );
+            assert_eq!(
+                bits(c1.out.data()),
+                bits(cbatch.out.row(r)),
+                "value row {r}"
+            );
+            assert_eq!(bits(c1.h.data()), bits(cbatch.h.row(r)), "critic h row {r}");
+            assert_eq!(bits(c1.c.data()), bits(cbatch.c.row(r)), "critic c row {r}");
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! agents"). The pairing is recomputed at every decision step from live
 //! observations.
 
-use tsc_sim::{Network, NodeId};
+use tsc_sim::{IntersectionObs, Network, NodeId};
 
+use crate::config::PairingMode;
 use crate::obs::ObsEncoder;
-use tsc_sim::IntersectionObs;
 
 /// Upstream agent candidates per agent, with the connecting link's
 /// direction slot, precomputed from the network topology.
@@ -47,6 +47,32 @@ impl PairingTable {
         &self.upstream[agent]
     }
 
+    /// Each agent's partner for this step under `mode`: the paper's
+    /// rule ([`partners`](Self::partners)); every agent itself
+    /// (`SelfLoop`, the ablation that keeps the message machinery but
+    /// removes the topology); or a uniformly random upstream agent, self
+    /// when there is none (`RandomUpstream`, the ablation showing the
+    /// rule matters, not just "some neighbor"). Only `RandomUpstream`
+    /// draws from `rng`.
+    pub fn select<R: rand::Rng>(
+        &self,
+        mode: PairingMode,
+        obs: &[IntersectionObs],
+        rng: &mut R,
+    ) -> Vec<usize> {
+        let agents = 0..self.upstream.len();
+        match mode {
+            PairingMode::CongestedUpstream => self.partners(obs),
+            PairingMode::SelfLoop => agents.collect(),
+            PairingMode::RandomUpstream => agents
+                .map(|a| match self.upstream[a].as_slice() {
+                    [] => a,
+                    ups => ups[rng.gen_range(0..ups.len())],
+                })
+                .collect(),
+        }
+    }
+
     /// Congestion score used to rank upstream partners: total halting
     /// plus positive pressure — "the one that experiences congestion
     /// first".
@@ -71,28 +97,6 @@ impl PairingTable {
                     }
                 }
                 best
-            })
-            .collect()
-    }
-
-    /// Self-loop partners: each agent listens to itself (the ablation
-    /// that removes inter-agent communication topology while keeping
-    /// the message machinery).
-    pub fn self_partners(&self) -> Vec<usize> {
-        (0..self.upstream.len()).collect()
-    }
-
-    /// Uniformly random upstream partner per agent (self when an agent
-    /// has no upstream neighbors) — the ablation showing the pairing
-    /// rule matters, not just "some neighbor".
-    pub fn random_partners<R: rand::Rng>(&self, rng: &mut R) -> Vec<usize> {
-        (0..self.upstream.len())
-            .map(|a| {
-                if self.upstream[a].is_empty() {
-                    a
-                } else {
-                    self.upstream[a][rng.gen_range(0..self.upstream[a].len())]
-                }
             })
             .collect()
     }

@@ -28,7 +28,6 @@ pub struct PolicySnapshot {
     /// `(params, net)` per bundle (1 when parameters are shared).
     actors: Vec<(Params, ActorNet)>,
     phases_per_agent: Vec<usize>,
-    num_agents: usize,
 }
 
 impl PolicySnapshot {
@@ -38,7 +37,6 @@ impl PolicySnapshot {
         pairing: PairingTable,
         actors: Vec<(Params, ActorNet)>,
         phases_per_agent: Vec<usize>,
-        num_agents: usize,
     ) -> Self {
         PolicySnapshot {
             cfg,
@@ -46,7 +44,6 @@ impl PolicySnapshot {
             pairing,
             actors,
             phases_per_agent,
-            num_agents,
         }
     }
 
@@ -57,7 +54,7 @@ impl PolicySnapshot {
 
     /// Number of controlled intersections.
     pub fn num_agents(&self) -> usize {
-        self.num_agents
+        self.phases_per_agent.len()
     }
 
     /// Whether all agents share one actor (enables exact batched

@@ -13,11 +13,11 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use tsc_nn::{Adam, Graph, LstmState, Params, Tensor};
+use tsc_nn::{Adam, Graph, Params, Tensor};
 use tsc_rl::buffer::{RolloutBuffer, Trajectory, Transition};
-use tsc_rl::distribution::{Categorical, LinearSchedule};
+use tsc_rl::distribution::LinearSchedule;
 use tsc_rl::ppo::{clipped_policy_loss, entropy_bonus, value_loss};
 use tsc_rl::sentinel::{check_finite_params, check_update, UpdateStats};
 use tsc_sim::rollout::{derive_rollout_seed, RolloutSet};
@@ -27,11 +27,12 @@ use crate::checkpoint::{Checkpoint, CheckpointManager};
 use crate::config::{CriticMode, PairUpLightConfig};
 use crate::error::TrainError;
 use crate::fault::FaultPlan;
-use crate::message::regularize_into;
-use crate::model::{ActorBuffers, ActorNet, CriticBuffers, CriticNet};
+use crate::model::{ActorNet, CriticNet};
 use crate::obs::{ObsEncoder, ObsNorm};
 use crate::pairing::PairingTable;
+use crate::policy::PolicySnapshot;
 use crate::runlog::{RunLogger, UpdateRecord};
+use crate::step::{PolicyStep, Selection, StepInput};
 
 /// One actor/critic pair with its optimizer state.
 #[derive(Debug)]
@@ -294,14 +295,6 @@ impl PairUpLight {
         self.bundles.iter().map(|b| b.params.num_scalars()).sum()
     }
 
-    fn bundle_idx(&self, agent: usize) -> usize {
-        if self.cfg.parameter_sharing {
-            0
-        } else {
-            agent
-        }
-    }
-
     /// The critic predicts *average-reward-scaled* returns
     /// `(1-γ)·R` so its targets stay in the clamped reward range
     /// regardless of γ; this factor converts back to return units for
@@ -321,42 +314,6 @@ impl PairUpLight {
         .value(self.episodes_trained as u64)
     }
 
-    fn critic_input(&self, all: &[IntersectionObs], agent: usize) -> Vec<f32> {
-        match self.cfg.critic_mode {
-            CriticMode::Local => self.encoder.encode_local(&all[agent]),
-            CriticMode::Centralized => self.encoder.encode_critic(all, agent),
-        }
-    }
-
-    /// Samples an action for `agent` from masked policy probabilities
-    /// with ε-greedy exploration (Algorithm 1 line 13). Returns
-    /// `(action, log_prob)`.
-    fn sample_action(
-        &self,
-        probs: &[f32],
-        agent: usize,
-        epsilon: f32,
-        rng: &mut StdRng,
-    ) -> (usize, f32) {
-        let n = self.phases_per_agent[agent];
-        // Mask to the agent's valid phases and renormalize.
-        let mut masked: Vec<f32> = probs[..n].to_vec();
-        let sum: f32 = masked.iter().sum();
-        if sum <= 0.0 {
-            masked = vec![1.0 / n as f32; n];
-        } else {
-            for p in &mut masked {
-                *p /= sum;
-            }
-        }
-        let action = if rng.gen::<f32>() < epsilon {
-            rng.gen_range(0..n)
-        } else {
-            Categorical::new(&masked).sample(rng)
-        };
-        (action, Categorical::new(&masked).log_prob(action))
-    }
-
     /// Collects one full episode of on-policy experience against the
     /// *current* (frozen) policy — pure with respect to the learner:
     /// `&self` only, with all randomness (exploration, message noise,
@@ -364,161 +321,93 @@ impl PairUpLight {
     /// `cfg.seed`. This is what makes data-parallel collection sound:
     /// any number of workers can run it concurrently on independent
     /// env replicas and the result for a given `(policy, seed)` pair is
-    /// always the same.
+    /// always the same. Each decision step is one tape-free
+    /// [`PolicyStep`] pass per bundle group.
     ///
     /// # Errors
     ///
     /// Propagates environment failures.
     pub fn collect_rollout(&self, env: &mut TscEnv, seed: u64) -> Result<Rollout, SimError> {
         let _span = tsc_obs::span!("rollout.episode");
-        let epsilon = self.epsilon();
         let n = self.num_agents;
-        let lstm = self.cfg.lstm_hidden;
-        let bw = self.cfg.bandwidth;
+        let local_dim = self.encoder.local_dim();
+        let selection = Selection::Explore(self.epsilon());
         // The policy stream is salted with `cfg.seed` so two learners
         // that differ only in their model seed also explore
         // differently on the same episode seed.
         let mut rng = StdRng::seed_from_u64(derive_rollout_seed(self.cfg.seed, seed, 0x5A17));
         let mut all_obs = env.reset(seed);
-        let mut actor_states: Vec<LstmState> = (0..n).map(|_| LstmState::zeros(1, lstm)).collect();
-        let mut critic_states: Vec<LstmState> = (0..n).map(|_| LstmState::zeros(1, lstm)).collect();
-        let mut messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
-        // Double-buffered outgoing messages plus tape-free inference
-        // scratch, all allocated once per episode and reused every
-        // step: the per-step hot loop builds no autograd tape and
-        // allocates only the vectors stored in the trajectory itself.
-        let mut next_messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
-        let mut abuf = ActorBuffers::new();
-        let mut cbuf = CriticBuffers::new();
-        let mut x = Tensor::zeros(1, self.encoder.local_dim() + bw);
-        let critic_dim = match self.cfg.critic_mode {
-            CriticMode::Local => self.encoder.local_dim(),
-            CriticMode::Centralized => self.encoder.critic_dim(),
-        };
-        let mut cx = Tensor::zeros(1, critic_dim);
-        let mut probs = Tensor::zeros(1, self.cfg.max_phases);
-        let mut actions = vec![0usize; n];
+        let mut step = PolicyStep::new(&self.cfg, n);
         let mut traj = Trajectory::new(n);
         let mut total_reward = 0.0f64;
         let mut msg_abs_sum = 0.0f32;
         let mut msg_count = 0usize;
         let mut queue_sum = 0.0f64;
         let mut queue_steps = 0usize;
+        let owned = |(h, c): (&[f32], &[f32])| (h.to_vec(), c.to_vec());
 
         loop {
-            let partners = match self.cfg.pairing {
-                crate::config::PairingMode::CongestedUpstream => self.pairing.partners(&all_obs),
-                crate::config::PairingMode::SelfLoop => self.pairing.self_partners(),
-                crate::config::PairingMode::RandomUpstream => {
-                    self.pairing.random_partners(&mut rng)
-                }
+            let partners = self.pairing.select(self.cfg.pairing, &all_obs, &mut rng);
+            step.listen(&partners);
+            // The recurrent state each agent decides from, which the
+            // PPO update replays.
+            let before: Vec<_> = (0..n)
+                .map(|a| (owned(step.actor_state(a)), owned(step.critic_state(a))))
+                .collect();
+            let input = StepInput {
+                encoder: &self.encoder,
+                phases: &self.phases_per_agent,
+                obs: &all_obs,
+                selection,
+                sigma: self.cfg.sigma,
             };
-            let mut step_transitions: Vec<Transition> = Vec::with_capacity(n);
-            for a in 0..n {
+            for (g, b) in self.bundles.iter().enumerate() {
                 let _infer = tsc_obs::span!("rollout.infer");
-                let local = self.encoder.encode_local(&all_obs[a]);
-                let msg_in: Vec<f32> = if bw > 0 {
-                    messages[partners[a]].clone()
-                } else {
-                    Vec::new()
-                };
-                {
-                    let row = x.row_mut(0);
-                    row[..local.len()].copy_from_slice(&local);
-                    row[local.len()..].copy_from_slice(&msg_in);
-                }
-                let b = self.bundle_idx(a);
-                let bundle = &self.bundles[b];
-                // Actor forward (tape-free, bit-identical to the graph
-                // path — see `ActorNet::infer`).
-                bundle.actor.infer(
-                    &bundle.params,
-                    &x,
-                    &actor_states[a].h,
-                    &actor_states[a].c,
-                    &mut abuf,
-                );
-                tsc_nn::softmax_rows_into(&abuf.logits, &mut probs);
-                // Critic forward.
-                let critic_in = self.critic_input(&all_obs, a);
-                cx.row_mut(0).copy_from_slice(&critic_in);
-                bundle.critic.infer(
-                    &bundle.params,
-                    &cx,
-                    &critic_states[a].h,
-                    &critic_states[a].c,
-                    &mut cbuf,
-                );
-                let value = cbuf.value.get(0, 0) * self.value_scale();
-                let (action, log_prob) = self.sample_action(probs.row(0), a, epsilon, &mut rng);
-                actions[a] = action;
-                if bw > 0 {
-                    let m_hat = &mut next_messages[a];
-                    regularize_into(abuf.message.row(0), self.cfg.sigma, &mut rng, m_hat);
-                    msg_abs_sum += m_hat.iter().map(|x| x.abs()).sum::<f32>();
-                    msg_count += m_hat.len();
-                }
-                step_transitions.push(Transition {
-                    obs: local,
-                    critic_obs: critic_in,
-                    action,
-                    reward: 0.0, // filled after env.step
-                    value,
-                    log_prob,
-                    actor_h: (
-                        actor_states[a].h.row(0).to_vec(),
-                        actor_states[a].c.row(0).to_vec(),
-                    ),
-                    critic_h: (
-                        critic_states[a].h.row(0).to_vec(),
-                        critic_states[a].c.row(0).to_vec(),
-                    ),
-                    message_in: msg_in,
-                    aux: Vec::new(), // filled after env.step
-                });
-                actor_states[a].h.copy_from(&abuf.h);
-                actor_states[a].c.copy_from(&abuf.c);
-                critic_states[a].h.copy_from(&cbuf.h);
-                critic_states[a].c.copy_from(&cbuf.c);
+                step.run_group(g, &input, &b.params, &b.actor, Some(&b.critic), &mut rng);
             }
-            let step = env.step(&actions)?;
-            queue_sum += step
+            let env_step = env.step(&step.actions)?;
+            queue_sum += env_step
                 .obs
                 .iter()
                 .map(IntersectionObs::total_halting)
                 .sum::<f64>();
             queue_steps += 1;
-            for (a, mut t) in step_transitions.into_iter().enumerate() {
-                t.reward = ((step.rewards[a] as f32) * self.cfg.reward_scale)
-                    .clamp(-self.cfg.reward_clip, 0.0);
-                total_reward += step.rewards[a];
-                t.aux = vec![self.encoder.message_target(&step.obs[a])];
-                traj.push(a, t);
+            for (a, (actor_h, critic_h)) in before.into_iter().enumerate() {
+                let m_hat = step.outgoing.row(a);
+                msg_abs_sum += m_hat.iter().map(|x| x.abs()).sum::<f32>();
+                msg_count += m_hat.len();
+                let (obs, message_in) = step.actor_input(a).split_at(local_dim);
+                total_reward += env_step.rewards[a];
+                traj.push(
+                    a,
+                    Transition {
+                        obs: obs.to_vec(),
+                        critic_obs: step.critic_input(a).to_vec(),
+                        action: step.actions[a],
+                        reward: ((env_step.rewards[a] as f32) * self.cfg.reward_scale)
+                            .clamp(-self.cfg.reward_clip, 0.0),
+                        value: step.values[a] * self.value_scale(),
+                        log_prob: step.log_probs[a],
+                        actor_h,
+                        critic_h,
+                        message_in: message_in.to_vec(),
+                        aux: vec![self.encoder.message_target(&env_step.obs[a])],
+                    },
+                );
             }
-            // Swap rather than reallocate; when `bw > 0` every slot was
-            // overwritten above, and when `bw == 0` both are empty.
-            std::mem::swap(&mut messages, &mut next_messages);
-            all_obs = step.obs;
-            if step.done {
+            all_obs = env_step.obs;
+            if env_step.done {
                 break;
             }
         }
 
         // Bootstrap values V(s_{B+1}) (Algorithm 1 line 24).
-        for (a, state) in critic_states.iter().enumerate() {
-            let b = self.bundle_idx(a);
-            let critic_in = self.critic_input(&all_obs, a);
-            cx.row_mut(0).copy_from_slice(&critic_in);
-            self.bundles[b].critic.infer(
-                &self.bundles[b].params,
-                &cx,
-                &state.h,
-                &state.c,
-                &mut cbuf,
-            );
-            traj.last_values[a] = cbuf.value.get(0, 0) * self.value_scale();
+        for (g, b) in self.bundles.iter().enumerate() {
+            step.critic_group(g, &self.encoder, &all_obs, &b.params, &b.critic);
         }
-
+        for (last, &v) in traj.last_values.iter_mut().zip(&step.values) {
+            *last = v * self.value_scale();
+        }
         let stats = EpisodeStats {
             steps: traj.agents.first().map_or(0, Vec::len),
             total_reward,
@@ -1386,8 +1275,8 @@ impl PairUpLight {
     /// Snapshots the deployable policy state (actor weights, encoder,
     /// pairing, phase counts) for a serving runtime. See
     /// [`PolicySnapshot`](crate::policy::PolicySnapshot).
-    pub fn policy_snapshot(&self) -> crate::policy::PolicySnapshot {
-        crate::policy::PolicySnapshot::new(
+    pub fn policy_snapshot(&self) -> PolicySnapshot {
+        PolicySnapshot::new(
             self.cfg,
             self.encoder.clone(),
             self.pairing.clone(),
@@ -1396,135 +1285,79 @@ impl PairUpLight {
                 .map(|b| (b.params.clone(), b.actor.clone()))
                 .collect(),
             self.phases_per_agent.clone(),
-            self.num_agents,
         )
     }
 
     /// Snapshots the current policy as a decentralized execution
-    /// controller (greedy, σ = 0; the critic is not deployed — paper
-    /// Fig. 4).
+    /// controller (σ = 0; the critic is not deployed — paper Fig. 4).
     pub fn controller(&self) -> PairUpLightController {
         PairUpLightController {
-            cfg: self.cfg,
-            encoder: self.encoder.clone(),
-            pairing: self.pairing.clone(),
-            actors: self
-                .bundles
-                .iter()
-                .map(|b| (b.params.clone(), b.actor.clone()))
-                .collect(),
-            phases_per_agent: self.phases_per_agent.clone(),
-            states: Vec::new(),
-            messages: Vec::new(),
-            num_agents: self.num_agents,
+            step: PolicyStep::new(&self.cfg, self.num_agents),
+            selection: if self.cfg.stochastic_execution {
+                Selection::Sample
+            } else {
+                Selection::Greedy
+            },
             rng: StdRng::seed_from_u64(self.cfg.seed ^ 0xC0FFEE),
+            policy: self.policy_snapshot(),
         }
     }
 }
 
 /// The deployed (inference-only) PairUpLight policy: local observations
-/// plus one incoming message per intersection, greedy phase selection.
+/// plus one incoming message per intersection, run through
+/// [`PolicyStep`] with no autograd tape. Samples its phases when the
+/// config asks for stochastic execution, else picks greedily.
 #[derive(Debug)]
 pub struct PairUpLightController {
-    cfg: PairUpLightConfig,
-    encoder: ObsEncoder,
-    pairing: PairingTable,
-    /// `(params, net)` per bundle (1 when shared).
-    actors: Vec<(Params, ActorNet)>,
-    phases_per_agent: Vec<usize>,
-    states: Vec<LstmState>,
-    messages: Vec<Vec<f32>>,
-    num_agents: usize,
+    policy: PolicySnapshot,
+    step: PolicyStep,
+    selection: Selection,
     rng: StdRng,
 }
 
 impl PairUpLightController {
-    fn bundle_idx(&self, agent: usize) -> usize {
-        if self.actors.len() == 1 {
-            0
-        } else {
-            agent
-        }
-    }
-
     /// Forces greedy (argmax) execution instead of sampling.
     pub fn set_greedy(&mut self) {
-        self.cfg.stochastic_execution = false;
+        self.selection = Selection::Greedy;
     }
 }
 
 impl Controller for PairUpLightController {
     fn reset(&mut self) {
-        self.states = (0..self.num_agents)
-            .map(|_| LstmState::zeros(1, self.cfg.lstm_hidden))
-            .collect();
-        self.messages = vec![vec![0.0; self.cfg.bandwidth]; self.num_agents];
+        self.step.reset();
         // Reseed so evaluation episodes are reproducible.
-        self.rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xC0FFEE);
+        self.rng = StdRng::seed_from_u64(self.policy.config().seed ^ 0xC0FFEE);
     }
 
     fn decide(&mut self, obs: &[IntersectionObs]) -> Vec<usize> {
-        if self.states.len() != self.num_agents {
-            self.reset();
-        }
-        let partners = match self.cfg.pairing {
-            crate::config::PairingMode::CongestedUpstream => self.pairing.partners(obs),
-            crate::config::PairingMode::SelfLoop => self.pairing.self_partners(),
-            crate::config::PairingMode::RandomUpstream => {
-                self.pairing.random_partners(&mut self.rng)
-            }
+        let policy = &self.policy;
+        let partners = policy
+            .pairing()
+            .select(policy.config().pairing, obs, &mut self.rng);
+        self.step.listen(&partners);
+        let input = StepInput {
+            encoder: policy.encoder(),
+            phases: policy.phases_per_agent(),
+            obs,
+            selection: self.selection,
+            sigma: 0.0,
         };
-        let mut actions = Vec::with_capacity(self.num_agents);
-        let mut next_messages = vec![vec![0.0f32; self.cfg.bandwidth]; self.num_agents];
-        for a in 0..self.num_agents {
-            let mut input = self.encoder.encode_local(&obs[a]);
-            if self.cfg.bandwidth > 0 {
-                input.extend_from_slice(&self.messages[partners[a]]);
-            }
-            let b = self.bundle_idx(a);
-            let (params, actor) = &self.actors[b];
-            let mut g = Graph::new();
-            let (out, next) = actor.step(
-                &mut g,
-                params,
-                Tensor::row_from_slice(&input),
-                &self.states[a],
-            );
-            let n = self.phases_per_agent[a];
-            let probs = tsc_nn::softmax_rows(g.value(out.logits));
-            let mut masked: Vec<f32> = probs.row(0)[..n].to_vec();
-            let sum: f32 = masked.iter().sum();
-            for p in &mut masked {
-                *p /= sum.max(1e-8);
-            }
-            let dist = Categorical::new(&masked);
-            let action = if self.cfg.stochastic_execution {
-                dist.sample(&mut self.rng)
-            } else {
-                dist.argmax()
-            };
-            if self.cfg.bandwidth > 0 {
-                if let Some(m) = out.message {
-                    // σ = 0 at execution: deterministic logistic squash.
-                    next_messages[a] = g
-                        .value(m)
-                        .row(0)
-                        .iter()
-                        .map(|&x| crate::message::logistic(x))
-                        .collect();
-                }
-            }
-            self.states[a] = next;
-            actions.push(action);
+        for (g, (params, actor)) in policy.actors().iter().enumerate() {
+            self.step
+                .run_group(g, &input, params, actor, None, &mut self.rng);
         }
-        self.messages = next_messages;
-        actions
+        self.step.actions.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PairingMode;
+    use rand::Rng;
+    use tsc_nn::LstmState;
+    use tsc_rl::distribution::Categorical;
     use tsc_sim::scenario::grid::{Grid, GridConfig};
     use tsc_sim::scenario::patterns::{flows, FlowPattern, PatternConfig};
     use tsc_sim::{EnvConfig, SimConfig};
@@ -1666,9 +1499,51 @@ mod tests {
         assert_eq!(a.trajectory.total(), b.trajectory.total());
     }
 
-    /// The pre-buffer-reuse collection loop: every forward pass builds
-    /// an autograd tape and every step reallocates its scratch. Kept as
-    /// the reference implementation for the bit-identity test below.
+    fn bundle_idx(model: &PairUpLight, agent: usize) -> usize {
+        if model.cfg.parameter_sharing {
+            0
+        } else {
+            agent
+        }
+    }
+
+    fn critic_input(model: &PairUpLight, all: &[IntersectionObs], agent: usize) -> Vec<f32> {
+        match model.cfg.critic_mode {
+            CriticMode::Local => model.encoder.encode_local(&all[agent]),
+            CriticMode::Centralized => model.encoder.encode_critic(all, agent),
+        }
+    }
+
+    /// The per-agent ε-greedy sampler the rollout loop used before
+    /// `PolicyStep`. Returns `(action, log_prob)`.
+    fn sample_action(
+        model: &PairUpLight,
+        probs: &[f32],
+        agent: usize,
+        epsilon: f32,
+        rng: &mut StdRng,
+    ) -> (usize, f32) {
+        let n = model.phases_per_agent[agent];
+        let mut masked: Vec<f32> = probs[..n].to_vec();
+        let sum: f32 = masked.iter().sum();
+        if sum <= 0.0 {
+            masked = vec![1.0 / n as f32; n];
+        } else {
+            for p in &mut masked {
+                *p /= sum;
+            }
+        }
+        let action = if rng.gen::<f32>() < epsilon {
+            rng.gen_range(0..n)
+        } else {
+            Categorical::new(&masked).sample(rng)
+        };
+        (action, Categorical::new(&masked).log_prob(action))
+    }
+
+    /// The original collection loop: one agent at a time, every forward
+    /// pass builds an autograd tape and every step reallocates its
+    /// scratch. Kept as the oracle for the rollout tests below.
     fn collect_rollout_tape_reference(
         model: &PairUpLight,
         env: &mut TscEnv,
@@ -1685,13 +1560,7 @@ mod tests {
         let mut messages: Vec<Vec<f32>> = vec![vec![0.0; bw]; n];
         let mut traj = Trajectory::new(n);
         loop {
-            let partners = match model.cfg.pairing {
-                crate::config::PairingMode::CongestedUpstream => model.pairing.partners(&all_obs),
-                crate::config::PairingMode::SelfLoop => model.pairing.self_partners(),
-                crate::config::PairingMode::RandomUpstream => {
-                    model.pairing.random_partners(&mut rng)
-                }
-            };
+            let partners = model.pairing.select(model.cfg.pairing, &all_obs, &mut rng);
             let mut actions = vec![0usize; n];
             let mut step_transitions: Vec<Transition> = Vec::with_capacity(n);
             let mut next_messages = vec![vec![0.0f32; bw]; n];
@@ -1704,7 +1573,7 @@ mod tests {
                 };
                 let mut input = local.clone();
                 input.extend_from_slice(&msg_in);
-                let b = model.bundle_idx(a);
+                let b = bundle_idx(model, a);
                 let mut g = Graph::new();
                 let (out, next_state) = model.bundles[b].actor.step(
                     &mut g,
@@ -1717,7 +1586,7 @@ mod tests {
                     .message
                     .map(|m| g.value(m).row(0).to_vec())
                     .unwrap_or_default();
-                let critic_in = model.critic_input(&all_obs, a);
+                let critic_in = critic_input(model, &all_obs, a);
                 let mut gc = Graph::new();
                 let (v, next_cstate) = model.bundles[b].critic.step(
                     &mut gc,
@@ -1726,7 +1595,7 @@ mod tests {
                     &critic_states[a],
                 );
                 let value = gc.value(v).get(0, 0) * model.value_scale();
-                let (action, log_prob) = model.sample_action(probs.row(0), a, epsilon, &mut rng);
+                let (action, log_prob) = sample_action(model, probs.row(0), a, epsilon, &mut rng);
                 actions[a] = action;
                 if bw > 0 {
                     next_messages[a] =
@@ -1767,8 +1636,8 @@ mod tests {
             }
         }
         for (a, state) in critic_states.iter().enumerate() {
-            let b = model.bundle_idx(a);
-            let critic_in = model.critic_input(&all_obs, a);
+            let b = bundle_idx(model, a);
+            let critic_in = critic_input(model, &all_obs, a);
             let mut g = Graph::new();
             let (v, _) = model.bundles[b].critic.step(
                 &mut g,
@@ -1781,24 +1650,151 @@ mod tests {
         traj
     }
 
+    /// Recurrent state, mailbox and RNG of [`decide_tape_reference`].
+    struct TapeDecider {
+        states: Vec<LstmState>,
+        messages: Vec<Vec<f32>>,
+        rng: StdRng,
+        stochastic: bool,
+    }
+
+    impl TapeDecider {
+        fn new(model: &PairUpLight, stochastic: bool) -> Self {
+            TapeDecider {
+                states: (0..model.num_agents)
+                    .map(|_| LstmState::zeros(1, model.cfg.lstm_hidden))
+                    .collect(),
+                messages: vec![vec![0.0; model.cfg.bandwidth]; model.num_agents],
+                rng: StdRng::seed_from_u64(model.cfg.seed ^ 0xC0FFEE),
+                stochastic,
+            }
+        }
+    }
+
+    /// The controller's original decide loop: one agent at a time, one
+    /// autograd graph per agent per step. Kept as the oracle for the
+    /// controller lockstep test below.
+    fn decide_tape_reference(
+        model: &PairUpLight,
+        st: &mut TapeDecider,
+        obs: &[IntersectionObs],
+    ) -> Vec<usize> {
+        let partners = model.pairing.select(model.cfg.pairing, obs, &mut st.rng);
+        let mut actions = Vec::with_capacity(model.num_agents);
+        let mut next_messages = vec![vec![0.0f32; model.cfg.bandwidth]; model.num_agents];
+        for a in 0..model.num_agents {
+            let mut input = model.encoder.encode_local(&obs[a]);
+            if model.cfg.bandwidth > 0 {
+                input.extend_from_slice(&st.messages[partners[a]]);
+            }
+            let b = &model.bundles[bundle_idx(model, a)];
+            let mut g = Graph::new();
+            let (out, next) = b.actor.step(
+                &mut g,
+                &b.params,
+                Tensor::row_from_slice(&input),
+                &st.states[a],
+            );
+            let n = model.phases_per_agent[a];
+            let probs = tsc_nn::softmax_rows(g.value(out.logits));
+            let mut masked: Vec<f32> = probs.row(0)[..n].to_vec();
+            let sum: f32 = masked.iter().sum();
+            for p in &mut masked {
+                *p /= sum.max(1e-8);
+            }
+            let dist = Categorical::new(&masked);
+            let action = if st.stochastic {
+                dist.sample(&mut st.rng)
+            } else {
+                dist.argmax()
+            };
+            if let Some(m) = out.message {
+                next_messages[a] = g
+                    .value(m)
+                    .row(0)
+                    .iter()
+                    .map(|&x| crate::message::logistic(x))
+                    .collect();
+            }
+            st.states[a] = next;
+            actions.push(action);
+        }
+        st.messages = next_messages;
+        actions
+    }
+
+    /// Rollout configurations the kernel must match the tape reference
+    /// on: shared and per-agent bundles, congestion and random pairing.
+    fn rollout_variants(base: PairUpLightConfig) -> Vec<PairUpLightConfig> {
+        let mut out = Vec::new();
+        for parameter_sharing in [true, false] {
+            for pairing in [PairingMode::CongestedUpstream, PairingMode::RandomUpstream] {
+                out.push(PairUpLightConfig {
+                    parameter_sharing,
+                    pairing,
+                    ..base
+                });
+            }
+        }
+        out
+    }
+
     #[test]
     fn buffer_reusing_rollout_is_bit_identical_to_tape_reference() {
-        let mut env = tiny_env(140);
-        let model = PairUpLight::new(&env, small_cfg());
-        let fast = model.collect_rollout(&mut env, 3).unwrap().trajectory;
-        let reference = collect_rollout_tape_reference(&model, &mut env, 3);
-        assert_eq!(fast.last_values, reference.last_values);
-        assert_eq!(fast.agents, reference.agents);
+        for cfg in rollout_variants(small_cfg()) {
+            let mut env = tiny_env(140);
+            let model = PairUpLight::new(&env, cfg);
+            let fast = model.collect_rollout(&mut env, 3).unwrap().trajectory;
+            let reference = collect_rollout_tape_reference(&model, &mut env, 3);
+            assert_eq!(fast.last_values, reference.last_values, "{cfg:?}");
+            assert_eq!(fast.agents, reference.agents, "{cfg:?}");
+        }
     }
 
     #[test]
     fn buffer_reusing_rollout_matches_reference_without_communication() {
-        let mut env = tiny_env(140);
-        let model = PairUpLight::new(&env, small_cfg().without_communication());
-        let fast = model.collect_rollout(&mut env, 9).unwrap().trajectory;
-        let reference = collect_rollout_tape_reference(&model, &mut env, 9);
-        assert_eq!(fast.agents, reference.agents);
-        assert_eq!(fast.last_values, reference.last_values);
+        for cfg in rollout_variants(small_cfg().without_communication()) {
+            let mut env = tiny_env(140);
+            let model = PairUpLight::new(&env, cfg);
+            let fast = model.collect_rollout(&mut env, 9).unwrap().trajectory;
+            let reference = collect_rollout_tape_reference(&model, &mut env, 9);
+            assert_eq!(fast.agents, reference.agents, "{cfg:?}");
+            assert_eq!(fast.last_values, reference.last_values, "{cfg:?}");
+        }
+    }
+
+    /// The controller and the tape oracle choose the same phase for
+    /// every agent at every step of a full episode — shared and
+    /// per-agent bundles, greedy and sampled, congestion and random
+    /// pairing — from trained (not freshly initialized) weights.
+    #[test]
+    fn controller_matches_decide_tape_reference_over_an_episode() {
+        for cfg in rollout_variants(small_cfg()) {
+            let mut env = tiny_env(140);
+            let mut model = PairUpLight::new(&env, cfg);
+            model.train_episode(&mut env, 1).unwrap();
+            for stochastic in [true, false] {
+                let mut ctl = model.controller();
+                if !stochastic {
+                    ctl.set_greedy();
+                }
+                ctl.reset();
+                let mut reference = TapeDecider::new(&model, stochastic);
+                let mut obs = env.reset(4);
+                let mut steps = 0usize;
+                loop {
+                    let want = decide_tape_reference(&model, &mut reference, &obs);
+                    assert_eq!(ctl.decide(&obs), want, "{cfg:?} step {steps}");
+                    let r = env.step(&want).unwrap();
+                    obs = r.obs;
+                    steps += 1;
+                    if r.done {
+                        break;
+                    }
+                }
+                assert_eq!(steps, env.steps_per_episode());
+            }
+        }
     }
 
     #[test]

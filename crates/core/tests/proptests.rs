@@ -6,7 +6,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pairuplight::message::{bits_per_step, regularize};
-use pairuplight::{FaultPlan, ObsEncoder, ObsNorm, PairUpLight, PairUpLightConfig, PairingTable};
+use pairuplight::{
+    FaultPlan, ObsEncoder, ObsNorm, PairUpLight, PairUpLightConfig, PairingMode, PairingTable,
+};
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{self, FlowPattern, PatternConfig};
 use tsc_sim::{Direction, EnvConfig, IntersectionObs, LinkId, LinkObs, NodeId, SimConfig, TscEnv};
@@ -117,11 +119,11 @@ proptest! {
     fn random_partners_are_upstream_or_self(seed in 0u64..300) {
         let (_, _agents, _, table) = grid_setup(3, 3);
         let mut rng = StdRng::seed_from_u64(seed);
-        let partners = table.random_partners(&mut rng);
+        let partners = table.select(PairingMode::RandomUpstream, &[], &mut rng);
         for (a, &p) in partners.iter().enumerate() {
             prop_assert!(p == a || table.upstream(a).contains(&p));
         }
-        let selfs = table.self_partners();
+        let selfs = table.select(PairingMode::SelfLoop, &[], &mut rng);
         for (a, &p) in selfs.iter().enumerate() {
             prop_assert_eq!(p, a);
         }

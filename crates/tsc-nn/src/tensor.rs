@@ -18,7 +18,7 @@ use rand::Rng;
 /// assert_eq!(t.shape(), (2, 2));
 /// assert_eq!(t.get(1, 0), 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,

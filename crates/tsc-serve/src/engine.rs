@@ -3,14 +3,20 @@
 //!
 //! ## Exactness of the batched path
 //!
-//! Under parameter sharing every intersection runs the same actor, so
-//! the runtime stacks all `N` agent inputs into one `N × D` matrix and
-//! does a single forward per step. Every kernel on that path (matmul,
-//! bias add, LSTM gates, softmax) is row-independent, so the batched
-//! forward is **bit-identical** to `N` separate `1 × D` forwards — the
-//! tier-1 parity test in `tests/parity.rs` pins this against the
-//! training stack's [`PairUpLightController`]
-//! (pairuplight::PairUpLightController).
+//! Inference runs through [`PolicyStep`], the policy-step kernel that
+//! training rollouts and the training stack's
+//! [`PairUpLightController`](pairuplight::PairUpLightController) also
+//! use; serving only adds its degradation policy around it. Under
+//! parameter sharing every intersection runs the same actor, so the
+//! kernel stacks all `N` agent inputs into one `N × D` matrix and does
+//! a single forward per step. Every kernel on that path (matmul, bias
+//! add, LSTM gates, softmax) is row-independent, so the batched forward
+//! is **bit-identical** to `N` separate `1 × D` forwards. Three tests
+//! pin this: `batched_infer_equals_per_row_infer` in `core`'s
+//! `model.rs` (network level), the controller-vs-`decide_tape_reference`
+//! lockstep test in `trainer.rs` (the kernel against the old per-agent
+//! tape loop), and the tier-1 parity tests in `tests/parity.rs`
+//! (serving against the controller over full episodes).
 //!
 //! ## Degradation model
 //!
@@ -64,16 +70,13 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
-use pairuplight::message::logistic;
 use pairuplight::{
     Checkpoint, HealthConfig, MessageChannel, MessageLossPolicy, ObsHealth, PairUpLight,
-    PairUpLightConfig, PairingMode, PolicySnapshot, TrainError,
+    PairUpLightConfig, PolicySnapshot, PolicyStep, Selection, StepInput, TrainError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsc_baselines::MaxPressureController;
-use tsc_nn::{LstmState, Tensor};
-use tsc_rl::distribution::Categorical;
 use tsc_sim::chaos::AgentSel;
 use tsc_sim::{ChaosPlan, Controller, IntersectionObs, TscEnv};
 
@@ -195,21 +198,16 @@ pub struct ServeRuntime {
     policy: PolicySnapshot,
     cfg: ServeConfig,
     fallback: MaxPressureController,
-    /// Recurrent state: one `N × H` entry when parameters are shared
-    /// (batched path), else one `1 × H` entry per agent.
-    states: Vec<LstmState>,
+    /// The policy-step kernel: recurrent state, post-channel partner
+    /// messages (`incoming`) and the messages to publish (`outgoing`).
+    step: PolicyStep,
     /// The partner-message channel (fault-free unless
     /// [`set_chaos`](Self::set_chaos) installed comms faults).
     channel: MessageChannel,
-    /// Outgoing messages assembled this step, published to the channel
-    /// at the end of the step (`N × bandwidth` scratch).
-    next_messages: Vec<Vec<f32>>,
-    /// Post-channel partner message per receiver (`N × bandwidth`).
-    delivered: Vec<Vec<f32>>,
     /// Partner chosen per receiver on the last served step (flight
     /// recorder / forensics causal pass).
     last_partners: Vec<usize>,
-    /// FNV-1a digest of `delivered` as of the last served step.
+    /// FNV-1a digest of the delivered messages of the last served step.
     last_msg_digest: u64,
     /// Consecutive dropped partner messages per agent.
     comms_streaks: Vec<u32>,
@@ -220,16 +218,10 @@ pub struct ServeRuntime {
     /// Decision steps served since the last state reset (the clock
     /// comms fault windows are evaluated against).
     step_index: u32,
-    /// Assembled network input (persistent across steps).
-    x: Tensor,
-    bufs: pairuplight::ActorBuffers,
-    probs: Tensor,
-    masked: Vec<f32>,
     staged: Option<PolicySnapshot>,
     telemetry: ServeTelemetry,
     injected_delay: Option<Duration>,
     rng: StdRng,
-    extra_allocs: u64,
     /// Optional JSONL sink for per-step serve events (out-of-band;
     /// dropped with a warning on the first write failure).
     obs_sink: Option<tsc_obs::EventSink>,
@@ -245,25 +237,18 @@ impl ServeRuntime {
             fallback: MaxPressureController::new(cfg.fallback_min_hold.max(1)),
             channel: MessageChannel::new(num_agents, bandwidth, cfg.resilience.msg_loss),
             health: cfg.resilience.health.map(|h| ObsHealth::new(num_agents, h)),
+            step: PolicyStep::new(policy.config(), num_agents),
             policy,
             cfg,
-            states: Vec::new(),
-            next_messages: Vec::new(),
-            delivered: Vec::new(),
             last_partners: Vec::new(),
             last_msg_digest: 0,
             comms_streaks: vec![0; num_agents],
             scratch_obs: Vec::new(),
             step_index: 0,
-            x: Tensor::zeros(0, 0),
-            bufs: pairuplight::ActorBuffers::default(),
-            probs: Tensor::zeros(0, 0),
-            masked: Vec::new(),
             staged: None,
             telemetry: ServeTelemetry::new(num_agents),
             injected_delay: None,
             rng: StdRng::seed_from_u64(seed),
-            extra_allocs: 0,
             obs_sink: None,
         };
         rt.reset_state();
@@ -295,16 +280,7 @@ impl ServeRuntime {
     /// chaos faults persist), and reseeds the runtime RNG
     /// (reproducible episodes).
     fn reset_state(&mut self) {
-        let n = self.policy.num_agents();
-        let h = self.policy.config().lstm_hidden;
-        let bw = self.policy.config().bandwidth;
-        self.states = if self.policy.shared() {
-            vec![LstmState::zeros(n, h)]
-        } else {
-            (0..n).map(|_| LstmState::zeros(1, h)).collect()
-        };
-        self.next_messages = vec![vec![0.0; bw]; n];
-        self.delivered = vec![vec![0.0; bw]; n];
+        self.step.reset();
         self.channel.reset();
         self.comms_streaks.iter_mut().for_each(|s| *s = 0);
         if let Some(health) = &mut self.health {
@@ -348,7 +324,7 @@ impl ServeRuntime {
     /// far. Constant across steps in steady state — the allocation
     /// probe test pins this.
     pub fn alloc_events(&self) -> u64 {
-        self.bufs.alloc_events() + self.extra_allocs
+        self.step.alloc_events()
     }
 
     /// Test/chaos hook: sleep this long inside the policy path of every
@@ -489,7 +465,10 @@ impl ServeRuntime {
         // at full quality until `commit_reload` swaps the buffers
         // between steps.
         let (actions, causes) = {
-            let partners = self.partners(eff);
+            let partners =
+                self.policy
+                    .pairing()
+                    .select(self.policy.config().pairing, eff, &mut self.rng);
             self.deliver_messages(&partners);
             let causes = self.health_causes();
             if self.policy.shared() {
@@ -548,7 +527,7 @@ impl ServeRuntime {
         for (a, &p) in partners.iter().enumerate() {
             let dropped = self
                 .channel
-                .deliver_into(a, p, time, &mut self.delivered[a]);
+                .deliver_into(a, p, time, self.step.incoming.row_mut(a));
             self.comms_streaks[a] = if dropped {
                 self.comms_streaks[a] + 1
             } else {
@@ -558,13 +537,11 @@ impl ServeRuntime {
         self.last_partners.clear();
         self.last_partners.extend_from_slice(partners);
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for row in &self.delivered {
-            for &v in row {
-                let bits = u64::from(v.to_bits());
-                for i in 0..4 {
-                    h ^= (bits >> (i * 8)) & 0xff;
-                    h = h.wrapping_mul(0x0000_0100_0000_01b3);
-                }
+        for &v in self.step.incoming.data() {
+            let bits = u64::from(v.to_bits());
+            for i in 0..4 {
+                h ^= (bits >> (i * 8)) & 0xff;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
         self.last_msg_digest = h;
@@ -609,25 +586,18 @@ impl ServeRuntime {
         causes
     }
 
-    fn partners(&mut self, obs: &[IntersectionObs]) -> Vec<usize> {
-        match self.policy.config().pairing {
-            PairingMode::CongestedUpstream => self.policy.pairing().partners(obs),
-            PairingMode::SelfLoop => self.policy.pairing().self_partners(),
-            PairingMode::RandomUpstream => self.policy.pairing().random_partners(&mut self.rng),
-        }
-    }
-
-    /// Greedy action for row `r` of `self.probs`, replicating the
-    /// training controller's mask + renormalize + argmax exactly.
-    fn greedy_action(&mut self, r: usize, num_phases: usize) -> usize {
-        self.masked.clear();
-        self.masked
-            .extend_from_slice(&self.probs.row(r)[..num_phases]);
-        let sum: f32 = self.masked.iter().sum();
-        for p in &mut self.masked {
-            *p /= sum.max(1e-8);
-        }
-        Categorical::new(&self.masked).argmax()
+    /// Runs bundle group `g` of the live policy greedily with σ = 0.
+    fn infer_group(&mut self, g: usize, obs: &[IntersectionObs]) {
+        let input = StepInput {
+            encoder: self.policy.encoder(),
+            phases: self.policy.phases_per_agent(),
+            obs,
+            selection: Selection::Greedy,
+            sigma: 0.0,
+        };
+        let (params, actor) = &self.policy.actors()[g];
+        self.step
+            .run_group(g, &input, params, actor, None, &mut self.rng);
     }
 
     /// Shared-parameter path: all agents in one `N × D` forward.
@@ -644,43 +614,15 @@ impl ServeRuntime {
         t0: Instant,
     ) -> (Vec<usize>, Vec<Option<DegradeReason>>) {
         let _span = tsc_obs::span!("serve.infer");
-        let n = self.policy.num_agents();
-        let cfg = *self.policy.config();
-        let local_dim = self.policy.encoder().local_dim();
-        self.extra_allocs += self.x.ensure_shape(n, local_dim + cfg.bandwidth) as u64;
-        for (a, ob) in obs.iter().enumerate().take(n) {
-            let (local, msg) = self.x.row_mut(a).split_at_mut(local_dim);
-            self.policy.encoder().encode_local_into(ob, local);
-            msg.copy_from_slice(&self.delivered[a]);
-        }
         if let Some(delay) = self.injected_delay {
             std::thread::sleep(delay);
         }
-        let (params, actor) = &self.policy.actors()[0];
-        let state = &self.states[0];
-        actor.infer(params, &self.x, &state.h, &state.c, &mut self.bufs);
-        self.extra_allocs += self.probs.ensure_shape(n, cfg.max_phases) as u64;
-        tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.probs);
-        let mut actions: Vec<usize> = (0..n)
-            .map(|a| self.greedy_action(a, self.policy.phases_per_agent()[a]))
-            .collect();
-        if cfg.bandwidth > 0 {
-            for a in 0..n {
-                for (dst, &raw) in self.next_messages[a]
-                    .iter_mut()
-                    .zip(self.bufs.message.row(a))
-                {
-                    *dst = logistic(raw);
-                }
-            }
-        }
-        // Commit recurrent state and messages even on overrun: the
+        // Recurrent state and messages advance even on overrun: the
         // forward already ran, and keeping the policy's state warm
         // means recovery after a slow step needs no re-warmup.
-        let state = &mut self.states[0];
-        state.h.copy_from(&self.bufs.h);
-        state.c.copy_from(&self.bufs.c);
-        self.channel.publish(&self.next_messages);
+        self.infer_group(0, obs);
+        self.channel.publish(self.step.outgoing.data());
+        let mut actions = self.step.actions.clone();
         let overrun = matches!(self.cfg.deadline, Some(d) if t0.elapsed() > d);
         for (a, cause) in causes.iter_mut().enumerate() {
             // The batch is all-or-nothing: an overrun degrades every
@@ -713,58 +655,31 @@ impl ServeRuntime {
     ) -> (Vec<usize>, Vec<Option<DegradeReason>>) {
         let _span = tsc_obs::span!("serve.infer");
         let n = self.policy.num_agents();
-        let cfg = *self.policy.config();
-        let local_dim = self.policy.encoder().local_dim();
         let mut actions = fb_actions;
         for a in 0..n {
-            if causes[a].is_some() {
-                // Health-triggered fallback: keep the fallback action,
-                // re-publish the previous message, leave LSTM state.
-                let (dst, src) = (&mut self.next_messages[a], self.channel.latest(a));
-                dst.copy_from_slice(src);
-                continue;
-            }
-            if let Some(deadline) = self.cfg.deadline {
-                if t0.elapsed() > deadline {
-                    // Budget exhausted: the rest of the grid keeps its
-                    // fallback actions and carries message + LSTM
-                    // state forward unchanged.
-                    for (b, cause) in causes.iter_mut().enumerate().skip(a) {
-                        if cause.is_none() {
-                            *cause = Some(DegradeReason::DeadlineOverrun);
-                        }
-                        let (dst, src) = (&mut self.next_messages[b], self.channel.latest(b));
-                        dst.copy_from_slice(src);
-                    }
-                    break;
+            if causes[a].is_none() && matches!(self.cfg.deadline, Some(d) if t0.elapsed() > d) {
+                // Budget exhausted: the rest of the grid keeps its
+                // fallback actions.
+                for cause in causes[a..].iter_mut().filter(|c| c.is_none()) {
+                    *cause = Some(DegradeReason::DeadlineOverrun);
                 }
+            }
+            if causes[a].is_some() {
+                // Fallback: keep the fallback action, re-publish the
+                // previous message, leave LSTM state.
+                self.step
+                    .outgoing
+                    .row_mut(a)
+                    .copy_from_slice(self.channel.latest(a));
+                continue;
             }
             if let Some(delay) = self.injected_delay {
                 std::thread::sleep(delay);
             }
-            self.extra_allocs += self.x.ensure_shape(1, local_dim + cfg.bandwidth) as u64;
-            let (local, msg) = self.x.row_mut(0).split_at_mut(local_dim);
-            self.policy.encoder().encode_local_into(&obs[a], local);
-            msg.copy_from_slice(&self.delivered[a]);
-            let (params, actor) = &self.policy.actors()[a];
-            let state = &self.states[a];
-            actor.infer(params, &self.x, &state.h, &state.c, &mut self.bufs);
-            self.extra_allocs += self.probs.ensure_shape(1, cfg.max_phases) as u64;
-            tsc_nn::softmax_rows_into(&self.bufs.logits, &mut self.probs);
-            actions[a] = self.greedy_action(0, self.policy.phases_per_agent()[a]);
-            if cfg.bandwidth > 0 {
-                for (dst, &raw) in self.next_messages[a]
-                    .iter_mut()
-                    .zip(self.bufs.message.row(0))
-                {
-                    *dst = logistic(raw);
-                }
-            }
-            let state = &mut self.states[a];
-            state.h.copy_from(&self.bufs.h);
-            state.c.copy_from(&self.bufs.c);
+            self.infer_group(a, obs);
+            actions[a] = self.step.actions[a];
         }
-        self.channel.publish(&self.next_messages);
+        self.channel.publish(self.step.outgoing.data());
         (actions, causes)
     }
 }

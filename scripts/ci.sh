@@ -16,6 +16,9 @@ cargo build --release
 echo "==> cargo test --workspace -q (tier 1)"
 cargo test --workspace -q
 
+echo "==> perfbench self-tests (traced runs: layer-sum and digest-replay checks)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> parity smoke (event core vs legacy oracle, all flow patterns)"
 cargo test --release -q -p tsc-sim --test parity
 cargo test --release -q -p tsc-sim --test golden
