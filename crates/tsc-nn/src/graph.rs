@@ -340,15 +340,25 @@ impl Graph {
             if grads[i].data().iter().all(|&x| x == 0.0) {
                 continue;
             }
-            let g = grads[i].clone();
+            // Every consumer of node `i` sits later on the tape and has
+            // been visited, so its gradient is complete and never read
+            // again: move it out instead of copying it.
+            let g = std::mem::take(&mut grads[i]);
             match &self.ops[i] {
                 Op::Leaf => {}
                 Op::Param(id) => params.accumulate_grad(*id, &g),
                 Op::MatMul(a, b) => {
-                    let da = g.matmul(&self.values[b.0].transpose());
-                    let db = self.values[a.0].transpose().matmul(&g);
-                    grads[a.0].add_assign(&da);
-                    grads[b.0].add_assign(&db);
+                    // An input's gradient is never read, so it is not
+                    // formed: this skips the `G·Bᵀ` product for a batch
+                    // of observations or recurrent state fed as input.
+                    if !matches!(self.ops[a.0], Op::Leaf) {
+                        let da = g.matmul_nt(&self.values[b.0]);
+                        grads[a.0].add_assign(&da);
+                    }
+                    if !matches!(self.ops[b.0], Op::Leaf) {
+                        let db = self.values[a.0].matmul_tn(&g);
+                        grads[b.0].add_assign(&db);
+                    }
                 }
                 Op::Add(a, b) => {
                     grads[a.0].add_assign(&g);

@@ -34,6 +34,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod gemm;
 pub mod graph;
 pub mod init;
 pub mod io;

@@ -76,6 +76,12 @@ impl Params {
         &self.grads[id.0]
     }
 
+    /// Value (mutable) and gradient of parameter `id` at once, so an
+    /// optimizer can read the gradient while it updates the value.
+    pub(crate) fn value_mut_and_grad(&mut self, id: ParamId) -> (&mut Tensor, &Tensor) {
+        (&mut self.values[id.0], &self.grads[id.0])
+    }
+
     /// Name of parameter `id`.
     pub fn name(&self, id: ParamId) -> &str {
         &self.names[id.0]

@@ -2,11 +2,14 @@
 //!
 //! All networks in this reproduction are small MLP/LSTM stacks, so a
 //! row-major `Vec<f32>` matrix with a handful of BLAS-free kernels is
-//! all the linear algebra required.
+//! all the linear algebra required; matrix products go through
+//! [`gemm`](crate::gemm).
 
 use std::fmt;
 
 use rand::Rng;
+
+use crate::gemm;
 
 /// A dense row-major matrix of `f32`.
 ///
@@ -198,11 +201,11 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other` written into a pre-sized `out`
-    /// (fully overwritten). This is the same kernel as
-    /// [`matmul`](Self::matmul) — identical loop structure and
-    /// accumulation order — so results are bit-identical; it only skips
-    /// the output allocation, which is what the tape-free inference
-    /// path reuses across steps.
+    /// (fully overwritten), skipping only the output allocation — what
+    /// the tape-free inference path reuses across steps. Both run the
+    /// same [`gemm`](crate::gemm) kernel, so results are bit-identical,
+    /// and that kernel reproduces the zero-skipping i-k-j loop bit for
+    /// bit (see the module's exactness notes).
     ///
     /// # Panics
     ///
@@ -210,31 +213,63 @@ impl Tensor {
     pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul inner dims");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul_into out");
-        out.fill_zero();
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                let row_out = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                let row_b = &other.data[k * other.cols..(k + 1) * other.cols];
-                for (o, &b) in row_out.iter_mut().zip(row_b) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm::nn(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            other.cols,
+        );
+    }
+
+    /// `selfᵀ @ other`, read in place (no transpose copy); bit-identical
+    /// to `self.transpose().matmul(other)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row counts differ.
+    pub(crate) fn matmul_tn(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.rows, other.rows, "matmul_tn inner dims");
+        let mut out = Tensor::zeros(self.cols, other.cols);
+        gemm::tn(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.cols,
+            self.rows,
+            other.cols,
+        );
+        out
+    }
+
+    /// `self @ otherᵀ`, read in place (no transpose copy); bit-identical
+    /// to `self.matmul(&other.transpose())`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the column counts differ.
+    pub(crate) fn matmul_nt(&self, other: &Tensor) -> Tensor {
+        assert_eq!(self.cols, other.cols, "matmul_nt inner dims");
+        let mut out = Tensor::zeros(self.rows, other.rows);
+        gemm::nt(
+            &self.data,
+            &other.data,
+            &mut out.data,
+            self.rows,
+            self.cols,
+            other.rows,
+        );
+        out
     }
 
     /// Transpose.
     pub fn transpose(&self) -> Tensor {
-        let mut out = Tensor::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
-            }
-        }
-        out
+        Tensor::from_vec(
+            self.cols,
+            self.rows,
+            gemm::transposed(&self.data, self.rows, self.cols),
+        )
     }
 
     /// Element-wise in-place `self += other`.

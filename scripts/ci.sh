@@ -16,6 +16,9 @@ cargo build --release
 echo "==> cargo test --workspace -q (tier 1)"
 cargo test --workspace -q
 
+echo "==> tsc-nn tests on optimised code (kernel exactness as vectorised in release)"
+cargo test --release -q -p tsc-nn
+
 echo "==> perfbench self-tests (traced runs: layer-sum and digest-replay checks)"
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
