@@ -37,17 +37,8 @@ use std::path::{Path, PathBuf};
 use tsc_nn::{load_adam, load_params, save_adam, save_params, Adam, LoadError, Params};
 
 /// FNV-1a 64-bit hash — the checksum of the checkpoint trailer and the
-/// configuration fingerprint. Deterministic, dependency-free, and
-/// plenty for integrity checking (this is corruption detection, not
-/// cryptography).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// configuration fingerprint (corruption detection, not cryptography).
+pub use tsc_obs::det::fnv1a64;
 
 /// The configuration fingerprint written into every checkpoint
 /// (FNV-1a-64 over the configuration's debug representation). Public
@@ -485,13 +476,5 @@ mod tests {
         assert_eq!(kept, vec![6, 8]);
         assert_eq!(mgr.latest().unwrap().unwrap().0, 8);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
     }
 }

@@ -16,7 +16,8 @@
 //! half of the chaos engine in `tsc_sim::chaos`.
 
 use rand::Rng;
-use tsc_sim::chaos::{chaos_uniform, fault_salt, CommsFault, CommsKind};
+use tsc_obs::det;
+use tsc_sim::chaos::{draw, CommsFault, CommsKind};
 
 /// Applies the regularizer to a raw message vector.
 ///
@@ -207,7 +208,7 @@ impl MessageChannel {
         let mut dropped = false;
         let mut corrupt: Option<(usize, f64)> = None;
         for (fi, fault) in self.faults.iter().enumerate() {
-            if !fault.window.contains(time) || !fault.receivers.matches(receiver) {
+            if !fault.in_scope(time, receiver) {
                 continue;
             }
             match fault.kind {
@@ -215,9 +216,8 @@ impl MessageChannel {
                 CommsKind::Drop { p } => {
                     // Fold the sender into the salt so each directed
                     // edge draws an independent decision stream.
-                    let salt = fault_salt(self.seed, fi)
-                        ^ (sender as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    if chaos_uniform(salt, time, receiver) < p {
+                    let salt = det::salt(self.seed, fi) ^ (sender as u64).wrapping_mul(det::GOLDEN);
+                    if det::uniform(salt, time, receiver) < p {
                         dropped = true;
                     }
                 }
@@ -238,9 +238,8 @@ impl MessageChannel {
         let base = (slot * self.num_agents + sender) * self.bandwidth;
         out.copy_from_slice(&self.ring[base..base + self.bandwidth]);
         if let Some((fi, amp)) = corrupt {
-            let salt = fault_salt(self.seed, fi);
             for (j, v) in out.iter_mut().enumerate() {
-                let u = chaos_uniform(salt, time, receiver * self.bandwidth + j);
+                let u = draw(self.seed, fi, time, receiver * self.bandwidth + j);
                 *v = (*v as f64 + amp * (2.0 * u - 1.0)).clamp(0.0, 1.0) as f32;
             }
         }

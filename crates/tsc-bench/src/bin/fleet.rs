@@ -37,6 +37,7 @@ use pairuplight::{PairUpLight, PairUpLightConfig};
 use tsc_bench::cli::{exit_on_error, BenchArgs};
 use tsc_bench::report::{write_prometheus, Json};
 use tsc_bench::world::resolve_scenario;
+use tsc_obs::det::Fnv64;
 use tsc_scenario::CompiledScenario;
 use tsc_serve::{
     FleetConfig, FleetRuntime, FlightConfig, InfraChaosPlan, ServeConfig, SupervisorConfig,
@@ -183,7 +184,7 @@ fn run_regime(
         .enumerate()
         .map(|(i, t)| t.env.reset(100 + i as u64))
         .collect();
-    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut digest = Fnv64::new();
     let mut serve_time = Duration::ZERO;
     let mut decisions: u64 = 0;
     for _ in 0..steps {
@@ -191,7 +192,7 @@ fn run_regime(
         let t0 = Instant::now();
         let out = fleet.step(&views)?;
         serve_time += t0.elapsed();
-        digest = (digest ^ out.digest()).wrapping_mul(0x0000_0100_0000_01b3);
+        digest.word(out.digest());
         for (i, (ts, tenant)) in out.tenants.iter().zip(tenants.iter_mut()).enumerate() {
             decisions += ts.actions.len() as u64;
             let step = tenant.env.step(&ts.actions)?;
@@ -256,7 +257,7 @@ fn run_regime(
         ]));
     }
     Ok(RegimeOutcome {
-        digest,
+        digest: digest.finish(),
         decisions_per_sec: decisions as f64 / serve_time.as_secs_f64().max(1e-9),
         rows,
         human,

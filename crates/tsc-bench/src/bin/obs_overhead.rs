@@ -33,6 +33,7 @@ use pairuplight::{PairUpLight, PairUpLightConfig};
 use tsc_bench::cli::{exit_on_error, BenchArgs};
 use tsc_bench::forensics::{FleetWorldSpec, TenantWorldSpec};
 use tsc_bench::report::{read_report, Json};
+use tsc_obs::det::Fnv64;
 use tsc_serve::{FleetRuntime, FlightConfig, SupervisorConfig};
 use tsc_sim::rollout::{derive_rollout_seed, RolloutSet};
 use tsc_sim::scenario::grid::{Grid, GridConfig};
@@ -61,7 +62,7 @@ struct GateArm {
     fleet: FleetRuntime,
     envs: Vec<TscEnv>,
     obs: Vec<Vec<tsc_sim::IntersectionObs>>,
-    digest: u64,
+    digest: Fnv64,
     serve_ns: u64,
 }
 
@@ -80,7 +81,7 @@ impl GateArm {
             fleet,
             envs,
             obs,
-            digest: 0xcbf2_9ce4_8422_2325,
+            digest: Fnv64::new(),
             serve_ns: 0,
         })
     }
@@ -94,10 +95,7 @@ impl GateArm {
             let t0 = Instant::now();
             let out = self.fleet.step(&views)?;
             chunk_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            for byte in out.digest().to_le_bytes() {
-                self.digest ^= u64::from(byte);
-                self.digest = self.digest.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            self.digest.write_u64(out.digest());
             for (i, (t, env)) in out.tenants.iter().zip(self.envs.iter_mut()).enumerate() {
                 self.obs[i] = env.step(&t.actions)?.obs;
             }

@@ -25,6 +25,7 @@
 //! each agent to its upstream partner.
 
 use pairuplight::{PairUpLight, PairUpLightConfig};
+use tsc_obs::flight::frames_digest;
 use tsc_obs::{FlightFrame, Incident, Json};
 use tsc_serve::{
     AdmissionConfig, FleetConfig, FleetRuntime, FlightConfig, InfraChaosPlan, LoadPlan,
@@ -150,12 +151,12 @@ impl FleetWorldSpec {
                 .map(|t| {
                     Some(TenantWorldSpec {
                         name: t.get_str("name")?.to_string(),
-                        cols: t.get_num("cols")? as usize,
-                        rows: t.get_num("rows")? as usize,
+                        cols: t.get_int("cols")?,
+                        rows: t.get_int("rows")?,
                         spacing: t.get_num("spacing")?,
-                        pattern: t.get_num("pattern")? as usize,
-                        hidden: t.get_num("hidden")? as usize,
-                        lstm_hidden: t.get_num("lstm_hidden")? as usize,
+                        pattern: t.get_int("pattern")?,
+                        hidden: t.get_int("hidden")?,
+                        lstm_hidden: t.get_int("lstm_hidden")?,
                         model_seed: tsc_obs::flight::u64_from_hex(t.get_str("model_seed")?)?,
                         env_seed: tsc_obs::flight::u64_from_hex(t.get_str("env_seed")?)?,
                     })
@@ -165,17 +166,16 @@ impl FleetWorldSpec {
         };
         Some(FleetWorldSpec {
             tenants,
-            decision_interval: j.get_num("decision_interval")? as u32,
-            horizon: j.get_num("horizon")? as u32,
+            decision_interval: j.get_int("decision_interval")?,
+            horizon: j.get_int("horizon")?,
             fleet_seed: tsc_obs::flight::u64_from_hex(j.get_str("fleet_seed")?)?,
             supervisor: SupervisorConfig::from_json(j.get("supervisor")?)?,
             admission_capacity: match j.get("admission_capacity")? {
                 Json::Null => None,
-                Json::Num(n) => Some(*n as u64),
-                _ => return None,
+                n => Some(n.as_int()?),
             },
-            flight_capacity: j.get_num("flight_capacity")? as usize,
-            flight_cooldown: j.get_num("flight_cooldown")? as u64,
+            flight_capacity: j.get_int("flight_capacity")?,
+            flight_cooldown: j.get_int("flight_cooldown")?,
             chaos: InfraChaosPlan::from_json(j.get("chaos")?)?,
             load: LoadPlan::from_json(j.get("load")?)?,
         })
@@ -407,21 +407,11 @@ pub fn diff_frames(
             });
         }
     }
-    let fold = |frames: &[FlightFrame]| {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for f in frames {
-            for byte in f.digest().to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
-    };
     ReplayReport {
         captured_frames: captured.len(),
         replayed_frames: replayed.len(),
         mismatches,
-        frames_digest_match: fold(captured) == fold(replayed),
+        frames_digest_match: frames_digest(captured) == frames_digest(replayed),
         causal,
     }
 }

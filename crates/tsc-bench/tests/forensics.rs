@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use tsc_bench::forensics::{replay_incident, FleetWorldSpec, TenantWorldSpec};
-use tsc_obs::{read_incident, FlightTrigger};
+use tsc_obs::{read_incident, FlightTrigger, Json};
 use tsc_serve::{InfraChaosPlan, LoadPlan, SupervisorConfig, TenantSel};
 use tsc_sim::Window;
 
@@ -73,6 +73,76 @@ fn world_spec_json_round_trips() {
     spec.admission_capacity = Some(64);
     let back = FleetWorldSpec::from_json(&spec.to_json()).expect("parses");
     assert_eq!(back, spec);
+}
+
+/// Replaces the value at `path` (object keys and array indices) in `j`.
+fn set_at(j: &mut Json, path: &[&str], value: Json) {
+    let mut cur = j;
+    for seg in path {
+        cur = match cur {
+            Json::Obj(fields) => &mut fields.iter_mut().find(|(k, _)| k == seg).expect(seg).1,
+            Json::Arr(items) => &mut items[seg.parse::<usize>().expect(seg)],
+            other => panic!("{seg}: not a container: {other:?}"),
+        };
+    }
+    *cur = value;
+}
+
+/// Every integer field of the replay context rejects values a cast
+/// would silently wrap, truncate or saturate (negative, fractional,
+/// non-finite, out of range, wrong type), and a zero reload-storm
+/// cadence; the unmutated context still round-trips exactly.
+#[test]
+fn mutated_integer_fields_are_rejected() {
+    let mut spec = base_spec(2, 42);
+    spec.chaos = InfraChaosPlan::new()
+        .tenant_panic(Window::new(10, 25), TenantSel::One(1), 0.7)
+        .reload_corrupt(Window::always(), TenantSel::All, 0.5)
+        .latency_spike(Window::new(3, 9), TenantSel::One(0), 150, 0.4)
+        .reload_storm(Window::new(0, 30), TenantSel::One(1), 4);
+    spec.load = LoadPlan::new().phase(Window::new(5, 20), TenantSel::All, 7, 3);
+    spec.admission_capacity = Some(64);
+    let good = spec.to_json();
+    assert_eq!(FleetWorldSpec::from_json(&good).as_ref(), Some(&spec));
+
+    let num = Json::Num;
+    let table: Vec<(&[&str], Json)> = vec![
+        (&["tenants", "0", "cols"], num(1e30)),
+        (&["tenants", "0", "rows"], num(-1.0)),
+        (&["tenants", "0", "pattern"], num(2.5)),
+        (&["tenants", "1", "hidden"], num(f64::NAN)),
+        (&["tenants", "1", "lstm_hidden"], Json::str("16")),
+        (&["decision_interval"], num(4_294_967_296.0)),
+        (&["horizon"], num(-1.0)),
+        (&["flight_capacity"], num(f64::INFINITY)),
+        (&["flight_cooldown"], num(0.5)),
+        (&["admission_capacity"], num(-64.0)),
+        (&["supervisor", "window"], num(-20.0)),
+        (&["supervisor", "min_samples"], num(1.5)),
+        (&["supervisor", "backoff_base"], num(f64::NEG_INFINITY)),
+        (&["supervisor", "backoff_max"], num(-2.0)),
+        (&["supervisor", "retry_budget"], num(4_294_967_296.0)),
+        (&["supervisor", "probation_steps"], num(-5.0)),
+        (&["chaos", "0", "tenants"], num(-3.0)),
+        (&["chaos", "0", "tenants"], num(0.5)),
+        (&["chaos", "1", "window", "start"], num(-1.0)),
+        (&["chaos", "1", "window", "end"], num(1e30)),
+        (&["chaos", "2", "fault", "extra_us"], num(-150.0)),
+        (&["chaos", "3", "fault", "every"], num(0.0)),
+        (&["chaos", "3", "fault", "every"], num(1e10)),
+        (&["load", "0", "tenants"], num(-3.0)),
+        (&["load", "0", "base"], num(-7.0)),
+        (&["load", "0", "jitter"], num(3.5)),
+    ];
+    for (path, value) in table {
+        let mut j = good.clone();
+        set_at(&mut j, path, value.clone());
+        assert_eq!(
+            FleetWorldSpec::from_json(&j),
+            None,
+            "{path:?} = {value:?} must be rejected"
+        );
+    }
 }
 
 /// Tier-1 acceptance pin: a panic-chaos run dumps an incident file;

@@ -32,6 +32,7 @@
 use std::io;
 use std::path::Path;
 
+use crate::det::Fnv64;
 use crate::events::{read_jsonl, EventSink};
 use crate::json::Json;
 
@@ -82,24 +83,22 @@ impl FlightFrame {
     /// except `slack_us`, which is wall-clock derived and therefore
     /// not replayable.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for i in 0..8 {
-                h ^= (v >> (i * 8)) & 0xff;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.step);
-        mix(self.obs_digest);
-        mix(self.msg_digest);
-        mix(self.actions_digest);
-        mix(u64::from(self.served_by));
-        mix(u64::from(self.level));
-        mix(u64::from(self.state));
-        mix(u64::from(self.panicked));
-        mix(self.offered);
-        mix(u64::from(self.chaos_mask));
-        h
+        let mut h = Fnv64::new();
+        for v in [
+            self.step,
+            self.obs_digest,
+            self.msg_digest,
+            self.actions_digest,
+            u64::from(self.served_by),
+            u64::from(self.level),
+            u64::from(self.state),
+            u64::from(self.panicked),
+            self.offered,
+            u64::from(self.chaos_mask),
+        ] {
+            h.write_u64(v);
+        }
+        h.finish()
     }
 
     /// The deterministic fields where this frame differs from `other`
@@ -156,16 +155,16 @@ impl FlightFrame {
     /// Parses a `"type": "frame"` record. `None` on shape mismatch.
     pub fn from_json(j: &Json) -> Option<FlightFrame> {
         Some(FlightFrame {
-            step: j.get_num("step")? as u64,
+            step: j.get_int("step")?,
             obs_digest: u64_from_hex(j.get_str("obs")?)?,
             msg_digest: u64_from_hex(j.get_str("msg")?)?,
             actions_digest: u64_from_hex(j.get_str("actions")?)?,
-            served_by: j.get_num("served_by")? as u8,
-            level: j.get_num("level")? as u8,
-            state: j.get_num("state")? as u8,
+            served_by: j.get_int("served_by")?,
+            level: j.get_int("level")?,
+            state: j.get_int("state")?,
             panicked: matches!(j.get("panicked"), Some(Json::Bool(true))),
-            offered: j.get_num("offered")? as u64,
-            chaos_mask: j.get_num("chaos_mask")? as u32,
+            offered: j.get_int("offered")?,
+            chaos_mask: j.get_int("chaos_mask")?,
             slack_us: match j.get("slack_us") {
                 Some(Json::Num(n)) => *n as i64,
                 _ => NO_DEADLINE,
@@ -315,16 +314,19 @@ impl Incident {
     /// Folds every frame's [`FlightFrame::digest`] into one ring
     /// digest (order-sensitive).
     pub fn frames_digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for f in &self.frames {
-            let d = f.digest();
-            for i in 0..8 {
-                h ^= (d >> (i * 8)) & 0xff;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        frames_digest(&self.frames)
     }
+}
+
+/// Folds every frame's [`FlightFrame::digest`] into one ring digest
+/// (byte-wise FNV-1a, order-sensitive) — [`Incident::frames_digest`]
+/// over a bare frame slice, for comparing a replay to a recording.
+pub fn frames_digest(frames: &[FlightFrame]) -> u64 {
+    let mut h = Fnv64::new();
+    for f in frames {
+        h.write_u64(f.digest());
+    }
+    h.finish()
 }
 
 /// Writes `incident` to `path` as incident file format v1 (see the
@@ -370,7 +372,7 @@ pub fn read_incident(path: impl AsRef<Path>) -> io::Result<Incident> {
         .first()
         .filter(|r| r.get_str("type") == Some("incident"))
         .ok_or_else(|| bad("not an incident file: missing header record"))?;
-    let version = header.get_num("version").unwrap_or(0.0) as u32;
+    let version = header.get_int::<u32>("version").unwrap_or(0);
     if version != INCIDENT_VERSION {
         return Err(bad(&format!(
             "unsupported incident version {version} (expected {INCIDENT_VERSION})"
@@ -388,13 +390,17 @@ pub fn read_incident(path: impl AsRef<Path>) -> io::Result<Incident> {
         .collect::<Option<Vec<_>>>()
         .ok_or_else(|| bad("malformed frame record"))?;
     Ok(Incident {
-        tenant: header.get_num("tenant").unwrap_or(0.0) as usize,
+        tenant: header
+            .get_int("tenant")
+            .ok_or_else(|| bad("malformed incident header: tenant"))?,
         tenant_name: header.get_str("name").unwrap_or("").to_string(),
         trigger: header
             .get_str("trigger")
             .and_then(FlightTrigger::parse)
             .ok_or_else(|| bad("unknown incident trigger"))?,
-        step: header.get_num("step").unwrap_or(0.0) as u64,
+        step: header
+            .get_int("step")
+            .ok_or_else(|| bad("malformed incident header: step"))?,
         replay: context.clone(),
         frames,
     })
@@ -452,6 +458,30 @@ mod tests {
         let back = FlightFrame::from_json(&f.to_json()).unwrap();
         assert_eq!(back.obs_digest, u64::MAX);
         assert_eq!(back.msg_digest, u64::MAX - 1);
+    }
+
+    #[test]
+    fn frame_json_rejects_out_of_range_integers() {
+        for (key, value) in [
+            ("step", -1.0),
+            ("served_by", 256.0),
+            ("level", 1.5),
+            ("offered", 1e30),
+            ("chaos_mask", 4_294_967_296.0),
+        ] {
+            let Json::Obj(mut fields) = frame(7).to_json() else {
+                unreachable!()
+            };
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = Json::Num(value);
+            let got = FlightFrame::from_json(&Json::Obj(fields));
+            assert_eq!(got, None, "{key} = {value}");
+        }
+        // A saturated offered load still round-trips.
+        let f = FlightFrame {
+            offered: u64::MAX,
+            ..frame(7)
+        };
+        assert_eq!(FlightFrame::from_json(&f.to_json()), Some(f));
     }
 
     #[test]

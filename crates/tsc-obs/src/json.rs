@@ -61,6 +61,26 @@ impl Json {
         }
     }
 
+    /// The number stored at an object field as a `T`, if it is finite,
+    /// integral, non-negative and fits `T` — the checked form of
+    /// `get_num(key)? as T` for counts, indices and sizes. `2⁶⁴` reads
+    /// as `u64::MAX`, the value that renders as it.
+    pub fn get_int<T: TryFrom<u64>>(&self, key: &str) -> Option<T> {
+        self.get(key)?.as_int()
+    }
+
+    /// This value as a `T` under the [`get_int`](Self::get_int) rule
+    /// (`None` for non-numbers).
+    pub fn as_int<T: TryFrom<u64>>(&self) -> Option<T> {
+        let Json::Num(n) = *self else { return None };
+        // `u64::MAX as f64` rounds up to 2⁶⁴, which `as u64` saturates
+        // back; anything larger does not fit. NaN is in no range.
+        if !(0.0..=18_446_744_073_709_551_616.0).contains(&n) || n.fract() != 0.0 {
+            return None;
+        }
+        T::try_from(n as u64).ok()
+    }
+
     /// The string stored at an object field, if present.
     pub fn get_str(&self, key: &str) -> Option<&str> {
         match self.get(key)? {
@@ -478,5 +498,22 @@ mod tests {
         assert_eq!(j.get_str("s"), Some("x"));
         assert_eq!(j.get("missing"), None);
         assert_eq!(Json::Null.get("n"), None);
+    }
+
+    #[test]
+    fn get_int_accepts_only_in_range_whole_numbers() {
+        let j = Json::parse(r#"{"z": -0.0, "b": 255, "w": 256, "e": 9007199254740992}"#).unwrap();
+        assert_eq!(j.get_int::<u8>("z"), Some(0));
+        assert_eq!(j.get_int::<u8>("b"), Some(255));
+        assert_eq!(j.get_int::<u8>("w"), None, "does not fit");
+        assert_eq!(j.get_int::<u16>("w"), Some(256));
+        assert_eq!(j.get_int::<u64>("e"), Some(1 << 53));
+        assert_eq!(j.get_int::<u64>("missing"), None);
+        for bad in [-3.0, 2.5, 1e30, f64::NAN, f64::INFINITY] {
+            assert_eq!(Json::Num(bad).as_int::<u64>(), None, "{bad}");
+        }
+        assert_eq!(Json::num(u64::MAX as f64).as_int(), Some(u64::MAX));
+        assert_eq!(Json::num(u64::MAX as f64).as_int::<u32>(), None);
+        assert_eq!(Json::str("7").as_int::<u64>(), None);
     }
 }

@@ -28,6 +28,9 @@
 //!   bit-for-bit.
 //! * **JSON** — [`Json`]: the hand-rolled value type (render + parse)
 //!   behind both the JSONL sink and the `BENCH_*.json` reports.
+//! * **Determinism** — [`det`]: the stack's one implementation of
+//!   stateless splitmix64 draws and FNV-1a digests, behind every
+//!   chaos draw, derived seed, fingerprint and replay digest.
 //! * **Scenario events** — [`record_scenario`]/[`latest_scenario`]: a
 //!   bounded process-global ring of environment constructions (name +
 //!   compiled-scenario fingerprint), so every bench report and run log
@@ -41,6 +44,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod det;
 pub mod events;
 pub mod fleet;
 pub mod flight;

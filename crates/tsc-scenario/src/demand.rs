@@ -17,6 +17,7 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
+use tsc_sim::det::splitmix64;
 use tsc_sim::scenario::patterns::{flows_on, PatternConfig};
 use tsc_sim::{shortest_route, FlowProfile, NodeId, OdFlow, SimError};
 
@@ -29,14 +30,6 @@ const FREE_SPEED: f64 = 13.89;
 
 /// Redraws per OD pair before giving up on it.
 const ATTEMPTS: u64 = 32;
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Stateless hash of the draw coordinates — the heart of the
 /// order-independence guarantee.

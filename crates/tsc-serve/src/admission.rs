@@ -52,12 +52,13 @@
 //! configs and asserts the running shed ratio never exceeds the cap at
 //! any prefix.
 
-use tsc_obs::Json;
-use tsc_sim::chaos::{chaos_uniform, fault_salt};
+use tsc_obs::{det, Json};
+use tsc_sim::chaos::draw;
 use tsc_sim::Window;
 
 use crate::infra_chaos::{
-    tenant_sel_from_json, tenant_sel_to_json, window_from_json, window_to_json, TenantSel,
+    clamp_step, tenant_sel_from_json, tenant_sel_to_json, window_from_json, window_to_json,
+    TenantSel,
 };
 
 /// Salt decorrelating admission tie-break draws from the infra-chaos
@@ -115,8 +116,8 @@ impl SlaClass {
     /// Parses [`to_json`](Self::to_json) output.
     pub fn from_json(j: &Json) -> Option<SlaClass> {
         Some(SlaClass {
-            priority: j.get_num("priority")? as u8,
-            deadline_us: j.get_num("deadline_us")? as u64,
+            priority: j.get_int("priority")?,
+            deadline_us: j.get_int("deadline_us")?,
             max_shed_rate: j.get_num("max_shed_rate")?,
         })
     }
@@ -263,8 +264,10 @@ impl Admission {
             // sustained overload spreads across the class.
             let (seed, classes) = (self.seed, &self.classes);
             self.order.sort_by_key(|&t| {
-                let tie = chaos_uniform(fault_salt(seed ^ ADMISSION_SALT, t), clamp_step(step), t);
-                (std::cmp::Reverse(classes[t].priority), FloatOrd(tie))
+                // Draws are in [0, 1): for non-negative floats the bit
+                // pattern orders exactly like the value.
+                let tie = draw(seed ^ ADMISSION_SALT, t, clamp_step(step), t);
+                (std::cmp::Reverse(classes[t].priority), tie.to_bits())
             });
             let mut remaining = self.cfg.capacity;
             for &t in &self.order {
@@ -306,24 +309,8 @@ impl Admission {
     /// by a seed hash so decimated tenants interleave instead of all
     /// skipping the same steps.
     pub fn forward_due(&self, step: u64, tenant: usize) -> bool {
-        let phase = fault_salt(self.seed ^ ADMISSION_SALT, tenant) & 1;
+        let phase = det::salt(self.seed ^ ADMISSION_SALT, tenant) & 1;
         (step + phase).is_multiple_of(2)
-    }
-}
-
-/// Total-order wrapper so a hash draw can key a sort (the draws come
-/// from `chaos_uniform`, which never yields NaN).
-#[derive(PartialEq, PartialOrd)]
-struct FloatOrd(f64);
-
-impl Eq for FloatOrd {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for FloatOrd {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("chaos draws are finite")
     }
 }
 
@@ -385,9 +372,9 @@ impl LoadPlan {
             if p.window.contains(s) && p.tenants.matches(tenant) {
                 active = true;
                 let burst = if p.jitter > 0 {
-                    let draw = chaos_uniform(fault_salt(seed ^ LOAD_SALT, idx), s, tenant);
-                    // draw ∈ [0, 1): scales to 0..=jitter inclusive.
-                    (draw * (p.jitter + 1) as f64) as u64
+                    let u = draw(seed ^ LOAD_SALT, idx, s, tenant);
+                    // u ∈ [0, 1): scales to 0..=jitter inclusive.
+                    (u * (p.jitter + 1) as f64) as u64
                 } else {
                     0
                 };
@@ -433,18 +420,12 @@ impl LoadPlan {
             phases.push(LoadPhase {
                 window: window_from_json(item.get("window")?)?,
                 tenants: tenant_sel_from_json(item.get("tenants")?)?,
-                base: item.get_num("base")? as u64,
-                jitter: item.get_num("jitter")? as u64,
+                base: item.get_int("base")?,
+                jitter: item.get_int("jitter")?,
             });
         }
         Some(LoadPlan { phases })
     }
-}
-
-/// Fleet steps are `u64`; windows reuse the chaos engine's `u32`
-/// [`Window`] (see `infra_chaos::clamp_step` for the rationale).
-fn clamp_step(step: u64) -> u32 {
-    u32::try_from(step).unwrap_or(u32::MAX)
 }
 
 #[cfg(test)]

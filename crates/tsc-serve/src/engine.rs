@@ -77,7 +77,7 @@ use pairuplight::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tsc_baselines::MaxPressureController;
-use tsc_sim::chaos::AgentSel;
+use tsc_obs::det::Fnv64;
 use tsc_sim::{ChaosPlan, Controller, IntersectionObs, TscEnv};
 
 use crate::error::ServeError;
@@ -356,7 +356,7 @@ impl ServeRuntime {
     pub fn set_chaos(&mut self, plan: &ChaosPlan, seed: u64) -> Result<(), ServeError> {
         let n = self.policy.num_agents();
         for fault in plan.comms() {
-            if let AgentSel::One(agent) = fault.receivers {
+            if let Some(agent) = fault.target.one() {
                 if agent >= n {
                     return Err(ServeError::InvalidChaos { agent, agents: n });
                 }
@@ -536,15 +536,11 @@ impl ServeRuntime {
         }
         self.last_partners.clear();
         self.last_partners.extend_from_slice(partners);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv64::new();
         for &v in self.step.incoming.data() {
-            let bits = u64::from(v.to_bits());
-            for i in 0..4 {
-                h ^= (bits >> (i * 8)) & 0xff;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.write_bytes(&v.to_bits().to_le_bytes());
         }
-        self.last_msg_digest = h;
+        self.last_msg_digest = h.finish();
     }
 
     /// FNV-1a digest of the partner-message plane the policy consumed

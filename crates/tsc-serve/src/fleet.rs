@@ -63,6 +63,7 @@ use std::time::{Duration, Instant};
 
 use pairuplight::{Checkpoint, PolicySnapshot, TrainError};
 use tsc_baselines::MaxPressureController;
+use tsc_obs::det::Fnv64;
 use tsc_obs::flight::NO_DEADLINE;
 use tsc_obs::{
     escape_label_value, fleet_event, write_incident, EventSink, FleetEventKind, FlightFrame,
@@ -73,7 +74,7 @@ use tsc_sim::{Controller, IntersectionObs};
 use crate::admission::{Admission, AdmissionConfig, ServiceLevel, SlaClass};
 use crate::engine::{DegradeReason, ServeConfig, ServeRuntime};
 use crate::error::ServeError;
-use crate::infra_chaos::{InfraChaosPlan, TenantSel};
+use crate::infra_chaos::InfraChaosPlan;
 use crate::supervisor::{Supervisor, SupervisorConfig, TenantState};
 use crate::telemetry::ServeTelemetry;
 
@@ -144,47 +145,42 @@ pub const MAX_HELD_INCIDENTS: usize = 64;
 /// this runs on every serving step of every tenant, and an 8× cheaper
 /// fold detects divergence exactly as well.
 pub fn obs_digest(obs: &[IntersectionObs]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv64::new();
     for o in obs {
-        mix(o.node.0 as u64);
-        mix(u64::from(o.time));
-        mix(o.current_phase as u64);
-        mix(o.num_phases as u64);
-        mix(o.incoming.len() as u64);
+        h.word(o.node.0 as u64);
+        h.word(u64::from(o.time));
+        h.word(o.current_phase as u64);
+        h.word(o.num_phases as u64);
+        h.word(o.incoming.len() as u64);
         for lane in &o.incoming {
-            mix(lane.link.0 as u64);
-            mix(lane.direction as u64);
-            mix(lane.count.to_bits());
-            mix(lane.halting.to_bits());
+            h.word(lane.link.0 as u64);
+            h.word(lane.direction as u64);
+            h.word(lane.count.to_bits());
+            h.word(lane.halting.to_bits());
             for m in lane.halting_by_movement {
-                mix(m.to_bits());
+                h.word(m.to_bits());
             }
-            mix(lane.head_wait.to_bits());
+            h.word(lane.head_wait.to_bits());
         }
-        mix(o.outgoing_counts.len() as u64);
+        h.word(o.outgoing_counts.len() as u64);
         for c in &o.outgoing_counts {
-            mix(c.to_bits());
+            h.word(c.to_bits());
         }
         for l in &o.outgoing_links {
-            mix(l.0 as u64);
+            h.word(l.0 as u64);
         }
     }
-    h
+    h.finish()
 }
 
 /// FNV-1a digest of a signal plan (chosen phase per intersection),
 /// word-wise like [`obs_digest`].
 pub fn actions_digest(actions: &[usize]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv64::new();
     for &a in actions {
-        h ^= a as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h.word(a as u64);
     }
-    h
+    h.finish()
 }
 
 /// Flight-recorder health across the fleet, for live exposition.
@@ -308,22 +304,18 @@ impl FleetStep {
     /// source, and admission level — fold the per-step digests to pin
     /// a whole run bit-for-bit (latency is deliberately excluded).
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |byte: u64| {
-            h ^= byte;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = Fnv64::new();
         for t in &self.tenants {
-            mix(t.state.index() as u64);
-            mix(t.served_by.index() as u64);
-            mix(t.level.index() as u64);
-            mix(t.panicked as u64);
-            mix(t.actions.len() as u64);
+            h.word(t.state.index() as u64);
+            h.word(t.served_by.index() as u64);
+            h.word(t.level.index() as u64);
+            h.word(t.panicked as u64);
+            h.word(t.actions.len() as u64);
             for &a in &t.actions {
-                mix(a as u64);
+                h.word(a as u64);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -448,7 +440,7 @@ impl FleetRuntime {
             .map(|(idx, spec)| {
                 // Same salt scheme as the chaos engine: decorrelate
                 // each tenant's jitter stream from the shared seed.
-                let salt = tsc_sim::chaos::fault_salt(cfg.seed ^ 0x000F_1EE7, idx);
+                let salt = tsc_obs::det::salt(cfg.seed ^ 0x000F_1EE7, idx);
                 Tenant {
                     standby: MaxPressureController::new(spec.serve_cfg.fallback_min_hold.max(1)),
                     runtime: ServeRuntime::new(spec.snapshot.clone(), spec.serve_cfg),
@@ -549,7 +541,7 @@ impl FleetRuntime {
     pub fn set_infra_chaos(&mut self, plan: InfraChaosPlan) -> Result<(), ServeError> {
         let n = self.tenants.len();
         for fault in plan.faults() {
-            if let TenantSel::One(t) = fault.tenants {
+            if let Some(t) = fault.target.one() {
                 if t >= n {
                     return Err(ServeError::InvalidInfraChaos {
                         tenant: t,

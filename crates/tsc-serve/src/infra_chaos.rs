@@ -15,10 +15,10 @@
 //!   snapshot is a second buffer, so the storm costs no degraded step.
 //!
 //! The determinism discipline is exactly the chaos engine's: every
-//! fault is active on a half-open [`Window`] of **fleet decision
-//! steps** and draws its probabilistic decisions from a splitmix64
-//! hash of `(seed, fault index, step, tenant)` via
-//! [`tsc_sim::chaos::chaos_uniform`]. The plan consumes **no RNG
+//! fault is a [`tsc_sim::Fault`] active on a half-open [`Window`] of
+//! **fleet decision steps** and draws its probabilistic decisions from
+//! a splitmix64 hash of `(seed, fault index, step, tenant)` via
+//! [`tsc_sim::chaos::draw`]. The plan consumes **no RNG
 //! state**: an empty plan is bit-identical to no plan, and the same
 //! `seed + plan` replays bit-for-bit (both pinned by tier-1 tests,
 //! like `ChaosPlan`).
@@ -26,39 +26,15 @@
 use std::time::Duration;
 
 use tsc_obs::Json;
-use tsc_sim::chaos::{chaos_uniform, fault_salt};
+use tsc_sim::chaos::{draw, Fault, Sel};
 use tsc_sim::Window;
 
 /// Salt decorrelating the infra-chaos hash streams from the
 /// road-fault streams of a `ChaosPlan` keyed by the same user seed.
 const INFRA_SALT: u64 = 0x1a9f_0c3d_5b71_e842;
 
-/// Which tenants a fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantSel {
-    /// Every tenant of the fleet.
-    All,
-    /// One specific tenant index.
-    One(usize),
-}
-
-impl TenantSel {
-    /// Whether `tenant` is targeted.
-    pub fn matches(&self, tenant: usize) -> bool {
-        match self {
-            TenantSel::All => true,
-            TenantSel::One(t) => *t == tenant,
-        }
-    }
-
-    /// The specific tenant index, if the selector names one.
-    pub fn one(&self) -> Option<usize> {
-        match self {
-            TenantSel::All => None,
-            TenantSel::One(t) => Some(*t),
-        }
-    }
-}
+/// Which tenants a fault (or a load phase) targets.
+pub type TenantSel = Sel<usize>;
 
 /// An infrastructure fault mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,16 +69,9 @@ pub enum InfraKind {
     },
 }
 
-/// A scheduled infrastructure fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InfraFault {
-    /// When the fault is active (fleet decision steps).
-    pub window: Window,
-    /// Which tenants it hits.
-    pub tenants: TenantSel,
-    /// What it does.
-    pub kind: InfraKind,
-}
+/// A scheduled infrastructure fault (window in fleet decision steps,
+/// target a tenant selector).
+pub type InfraFault = Fault<usize, InfraKind>;
 
 /// A deterministic schedule of infrastructure faults for a fleet,
 /// built in the same chained-builder style as
@@ -123,22 +92,16 @@ impl InfraChaosPlan {
     /// Injected panics: targeted tenants' policy steps panic with
     /// probability `p` each step of `window`.
     pub fn tenant_panic(mut self, window: Window, tenants: TenantSel, p: f64) -> Self {
-        self.faults.push(InfraFault {
-            window,
-            tenants,
-            kind: InfraKind::Panic { p },
-        });
+        self.faults
+            .push(Fault::new(window, tenants, InfraKind::Panic { p }));
         self
     }
 
     /// Reload corruption: targeted tenants' checkpoint reload attempts
     /// fail with probability `p` during `window`.
     pub fn reload_corrupt(mut self, window: Window, tenants: TenantSel, p: f64) -> Self {
-        self.faults.push(InfraFault {
-            window,
-            tenants,
-            kind: InfraKind::ReloadCorrupt { p },
-        });
+        self.faults
+            .push(Fault::new(window, tenants, InfraKind::ReloadCorrupt { p }));
         self
     }
 
@@ -151,24 +114,21 @@ impl InfraChaosPlan {
         extra_us: u64,
         p: f64,
     ) -> Self {
-        self.faults.push(InfraFault {
+        self.faults.push(Fault::new(
             window,
             tenants,
-            kind: InfraKind::LatencySpike { extra_us, p },
-        });
+            InfraKind::LatencySpike { extra_us, p },
+        ));
         self
     }
 
     /// Reload storm: a hot reload is forced on targeted tenants every
     /// `every` steps of `window`.
     pub fn reload_storm(mut self, window: Window, tenants: TenantSel, every: u32) -> Self {
-        self.faults.push(InfraFault {
-            window,
-            tenants,
-            kind: InfraKind::ReloadStorm {
-                every: every.max(1),
-            },
-        });
+        let kind = InfraKind::ReloadStorm {
+            every: every.max(1),
+        };
+        self.faults.push(Fault::new(window, tenants, kind));
         self
     }
 
@@ -184,50 +144,38 @@ impl InfraChaosPlan {
 
     /// Whether the tenant's policy step panics at `step` under `seed`.
     pub fn panics(&self, seed: u64, step: u64, tenant: usize) -> bool {
-        self.hits(seed, step, tenant, |k| match k {
-            InfraKind::Panic { p } => Some(p),
-            _ => None,
-        })
+        self.fired(seed, step, tenant)
+            .any(|k| matches!(k, InfraKind::Panic { .. }))
     }
 
     /// Whether a reload attempted at `step` by `tenant` is corrupted.
     pub fn corrupts_reload(&self, seed: u64, step: u64, tenant: usize) -> bool {
-        self.hits(seed, step, tenant, |k| match k {
-            InfraKind::ReloadCorrupt { p } => Some(p),
-            _ => None,
-        })
+        self.fired(seed, step, tenant)
+            .any(|k| matches!(k, InfraKind::ReloadCorrupt { .. }))
     }
 
     /// The injected latency for the tenant's step, if any spike fires
     /// (multiple firing spikes add up).
     pub fn spike(&self, seed: u64, step: u64, tenant: usize) -> Option<Duration> {
-        let mut total_us = 0u64;
-        for (idx, fault) in self.faults.iter().enumerate() {
-            if let InfraKind::LatencySpike { extra_us, p } = fault.kind {
-                if fault.window.contains(clamp_step(step))
-                    && fault.tenants.matches(tenant)
-                    && chaos_uniform(fault_salt(seed ^ INFRA_SALT, idx), clamp_step(step), tenant)
-                        < p
-                {
-                    total_us += extra_us;
-                }
-            }
-        }
+        let total_us: u64 = self
+            .fired(seed, step, tenant)
+            .map(|k| match k {
+                InfraKind::LatencySpike { extra_us, .. } => extra_us,
+                _ => 0,
+            })
+            .sum();
         (total_us > 0).then(|| Duration::from_micros(total_us))
     }
 
     /// Whether a reload storm forces a staging on this tenant at
     /// `step` (the cadence is anchored at each window's start).
     pub fn storm_due(&self, step: u64, tenant: usize) -> bool {
-        self.faults.iter().any(|fault| {
-            if let InfraKind::ReloadStorm { every } = fault.kind {
-                let s = clamp_step(step);
-                fault.window.contains(s)
-                    && fault.tenants.matches(tenant)
-                    && (s - fault.window.start).is_multiple_of(every)
-            } else {
-                false
+        let s = clamp_step(step);
+        self.faults.iter().any(|f| match f.kind {
+            InfraKind::ReloadStorm { every } => {
+                f.in_scope(s, tenant) && (s - f.window.start).is_multiple_of(every)
             }
+            _ => false,
         })
     }
 
@@ -241,7 +189,7 @@ impl InfraChaosPlan {
         let s = clamp_step(step);
         let mut mask = 0u32;
         for (idx, fault) in self.faults.iter().enumerate() {
-            if fault.window.contains(s) && fault.tenants.matches(tenant) {
+            if fault.in_scope(s, tenant) {
                 mask |= 1u32 << idx.min(31);
             }
         }
@@ -275,7 +223,7 @@ impl InfraChaosPlan {
                     };
                     Json::obj([
                         ("window", window_to_json(f.window)),
-                        ("tenants", tenant_sel_to_json(f.tenants)),
+                        ("tenants", tenant_sel_to_json(f.target)),
                         ("fault", kind),
                     ])
                 })
@@ -296,39 +244,34 @@ impl InfraChaosPlan {
                 "panic" => InfraKind::Panic { p: f.get_num("p")? },
                 "reload_corrupt" => InfraKind::ReloadCorrupt { p: f.get_num("p")? },
                 "latency_spike" => InfraKind::LatencySpike {
-                    extra_us: f.get_num("extra_us")? as u64,
+                    extra_us: f.get_int("extra_us")?,
                     p: f.get_num("p")?,
                 },
+                // The builder clamps the cadence to ≥ 1; 0 would
+                // divide by zero in `storm_due`.
                 "reload_storm" => InfraKind::ReloadStorm {
-                    every: f.get_num("every")? as u32,
+                    every: f.get_int("every").filter(|&e| e > 0)?,
                 },
                 _ => return None,
             };
-            faults.push(InfraFault {
-                window,
-                tenants,
-                kind,
-            });
+            faults.push(Fault::new(window, tenants, kind));
         }
         Some(InfraChaosPlan { faults })
     }
 
-    /// Shared per-fault hash evaluation: any matching fault whose
-    /// uniform draw lands under its probability fires.
-    fn hits(
-        &self,
-        seed: u64,
-        step: u64,
-        tenant: usize,
-        prob: impl Fn(InfraKind) -> Option<f64>,
-    ) -> bool {
-        self.faults.iter().enumerate().any(|(idx, fault)| {
-            prob(fault.kind).is_some_and(|p| {
-                fault.window.contains(clamp_step(step))
-                    && fault.tenants.matches(tenant)
-                    && chaos_uniform(fault_salt(seed ^ INFRA_SALT, idx), clamp_step(step), tenant)
-                        < p
-            })
+    /// The kinds of the probabilistic faults that fire on `tenant` at
+    /// `step`: in scope, with their draw under `p`.
+    fn fired(&self, seed: u64, step: u64, tenant: usize) -> impl Iterator<Item = InfraKind> + '_ {
+        let s = clamp_step(step);
+        self.faults.iter().enumerate().filter_map(move |(idx, f)| {
+            let p = match f.kind {
+                InfraKind::Panic { p }
+                | InfraKind::ReloadCorrupt { p }
+                | InfraKind::LatencySpike { p, .. } => p,
+                InfraKind::ReloadStorm { .. } => return None,
+            };
+            let fires = f.in_scope(s, tenant) && draw(seed ^ INFRA_SALT, idx, s, tenant) < p;
+            fires.then_some(f.kind)
         })
     }
 }
@@ -337,7 +280,7 @@ impl InfraChaosPlan {
 /// `u32` [`Window`]. Steps beyond `u32::MAX` pin to the last window
 /// tick (a fleet serving 4 × 10⁹ steps has long outlived any fault
 /// schedule).
-fn clamp_step(step: u64) -> u32 {
+pub(crate) fn clamp_step(step: u64) -> u32 {
     u32::try_from(step).unwrap_or(u32::MAX)
 }
 
@@ -352,10 +295,7 @@ pub(crate) fn window_to_json(w: Window) -> Json {
 
 /// Parses [`window_to_json`] output.
 pub(crate) fn window_from_json(j: &Json) -> Option<Window> {
-    Some(Window::new(
-        j.get_num("start")? as u32,
-        j.get_num("end")? as u32,
-    ))
+    Some(Window::new(j.get_int("start")?, j.get_int("end")?))
 }
 
 /// [`TenantSel`] as `"all"` or a tenant index.
@@ -370,7 +310,7 @@ pub(crate) fn tenant_sel_to_json(sel: TenantSel) -> Json {
 pub(crate) fn tenant_sel_from_json(j: &Json) -> Option<TenantSel> {
     match j {
         Json::Str(s) if s == "all" => Some(TenantSel::All),
-        Json::Num(n) => Some(TenantSel::One(*n as usize)),
+        n @ Json::Num(_) => Some(TenantSel::One(n.as_int()?)),
         _ => None,
     }
 }
@@ -389,15 +329,6 @@ mod tests {
             .reload_storm(Window::new(10, 50), TenantSel::One(0), 7);
         assert!(!plan.is_empty());
         assert_eq!(plan.faults().len(), 4);
-    }
-
-    #[test]
-    fn selectors_target_tenants() {
-        assert!(TenantSel::All.matches(7));
-        assert!(TenantSel::One(3).matches(3));
-        assert!(!TenantSel::One(3).matches(4));
-        assert_eq!(TenantSel::One(3).one(), Some(3));
-        assert_eq!(TenantSel::All.one(), None);
     }
 
     #[test]

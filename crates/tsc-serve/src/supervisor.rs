@@ -94,13 +94,13 @@ impl SupervisorConfig {
     /// Parses [`to_json`](Self::to_json) output.
     pub fn from_json(j: &tsc_obs::Json) -> Option<SupervisorConfig> {
         Some(SupervisorConfig {
-            window: j.get_num("window")? as usize,
+            window: j.get_int("window")?,
             trip_fault_rate: j.get_num("trip_fault_rate")?,
-            min_samples: j.get_num("min_samples")? as usize,
-            backoff_base: j.get_num("backoff_base")? as u64,
-            backoff_max: j.get_num("backoff_max")? as u64,
-            retry_budget: j.get_num("retry_budget")? as u32,
-            probation_steps: j.get_num("probation_steps")? as u32,
+            min_samples: j.get_int("min_samples")?,
+            backoff_base: j.get_int("backoff_base")?,
+            backoff_max: j.get_int("backoff_max")?,
+            retry_budget: j.get_int("retry_budget")?,
+            probation_steps: j.get_int("probation_steps")?,
         })
     }
 }
@@ -184,15 +184,6 @@ impl TenantEvent {
         TenantEvent::ReloadFailed,
         TenantEvent::ProbationPassed,
     ];
-}
-
-/// splitmix64 — the workspace's standard stateless hash (same scheme
-/// as [`tsc_sim::chaos::chaos_uniform`]).
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One tenant's supervisor: the state machine plus its breaker window
@@ -282,7 +273,7 @@ impl Supervisor {
         let exp = base
             .saturating_shl(attempt.min(32))
             .min(self.cfg.backoff_max.max(base));
-        let jitter = splitmix64(self.salt ^ (u64::from(attempt) << 17)) % base;
+        let jitter = tsc_obs::det::splitmix64(self.salt ^ (u64::from(attempt) << 17)) % base;
         exp + jitter
     }
 

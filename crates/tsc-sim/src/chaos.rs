@@ -15,16 +15,19 @@
 //!   (consumed by the controller-side channel model in the core crate;
 //!   the simulator itself carries no messages).
 //!
-//! Every fault is active on a half-open [`Window`] of simulation
-//! seconds and draws its probabilistic decisions from a splitmix64
-//! hash of `(seed, fault index, time, entity)` — the same scheme as
-//! detector degradation — so the plan consumes **no RNG state** and a
-//! run under `seed + plan` is bit-for-bit reproducible. An empty plan
+//! Every fault is a [`Fault`]: a kind, a [`Sel`] target and a
+//! half-open [`Window`] of simulation seconds. Probabilistic kinds
+//! decide with [`draw`], a splitmix64 hash of `(seed, fault index,
+//! time, entity)` from [`tsc_obs::det`] — the same scheme as detector
+//! degradation — so the plan consumes **no RNG state** and a run under
+//! `seed + plan` is bit-for-bit reproducible. An empty plan
 //! is free: every hook checks an empty list and leaves the simulation
 //! byte-identical to a chaos-free build. This mirrors the `FaultPlan`
 //! design of the training stack, except that chaos faults are windows
 //! rather than consume-once events: the surface keeps misbehaving for
 //! as long as the window lasts.
+
+use tsc_obs::det::{self, Fnv64};
 
 use crate::ids::{LinkId, NodeId};
 
@@ -57,64 +60,83 @@ impl Window {
     }
 }
 
-/// Which links a sensing fault targets.
+/// Which entities a fault (or a load phase) targets: every one, or
+/// one specific entity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkSel {
-    /// Every link.
+pub enum Sel<T> {
+    /// Every entity.
     All,
-    /// One specific link.
-    One(LinkId),
+    /// One specific entity.
+    One(T),
 }
 
-impl LinkSel {
-    /// Whether `link` is targeted.
-    pub fn matches(&self, link: LinkId) -> bool {
-        match self {
-            LinkSel::All => true,
-            LinkSel::One(l) => *l == link,
+impl<T: Copy + PartialEq> Sel<T> {
+    /// Whether `who` is targeted.
+    #[inline]
+    pub fn matches(&self, who: T) -> bool {
+        self.one().is_none_or(|x| x == who)
+    }
+
+    /// The specific entity, if the selector names one.
+    #[inline]
+    pub fn one(&self) -> Option<T> {
+        match *self {
+            Sel::All => None,
+            Sel::One(x) => Some(x),
         }
     }
 }
+
+/// Which links a sensing fault targets.
+pub type LinkSel = Sel<LinkId>;
 
 /// Which intersections an actuation fault targets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSel {
-    /// Every signalized intersection.
-    All,
-    /// One specific intersection.
-    One(NodeId),
-}
-
-impl NodeSel {
-    /// Whether `node` is targeted.
-    pub fn matches(&self, node: NodeId) -> bool {
-        match self {
-            NodeSel::All => true,
-            NodeSel::One(n) => *n == node,
-        }
-    }
-}
+pub type NodeSel = Sel<NodeId>;
 
 /// Which receiving agents a communication fault targets (an "edge" of
 /// the pairing graph is identified by its receiver: every agent reads
 /// exactly one partner message per decision step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AgentSel {
-    /// Every agent.
-    All,
-    /// One specific agent index.
-    One(usize),
+pub type AgentSel = Sel<usize>;
+
+/// A scheduled fault: what it does to which entities while its window
+/// is open — sensing, actuation, comms and (in the serving crate)
+/// infrastructure faults alike. Probabilistic kinds decide with [`draw`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fault<T, K> {
+    /// When the fault is active.
+    pub window: Window,
+    /// Which entities it hits.
+    pub target: Sel<T>,
+    /// What it does.
+    pub kind: K,
 }
 
-impl AgentSel {
-    /// Whether `agent` is targeted.
-    pub fn matches(&self, agent: usize) -> bool {
-        match self {
-            AgentSel::All => true,
-            AgentSel::One(a) => *a == agent,
+impl<T: Copy + PartialEq, K> Fault<T, K> {
+    /// A fault of `kind` on `target` during `window`.
+    pub fn new(window: Window, target: Sel<T>, kind: K) -> Self {
+        Fault {
+            window,
+            target,
+            kind,
         }
     }
+
+    /// Whether `who` is in the fault's scope at time `t` (window open
+    /// and selector matching), whether or not a draw would fire.
+    #[inline]
+    pub fn in_scope(&self, t: u32, who: T) -> bool {
+        self.window.contains(t) && self.target.matches(who)
+    }
 }
+
+/// A scheduled detector fault.
+pub type SensingFault = Fault<LinkId, SensingKind>;
+
+/// A scheduled actuation fault.
+pub type ActuationFault = Fault<NodeId, ActuationKind>;
+
+/// A scheduled communication fault.
+pub type CommsFault = Fault<usize, CommsKind>;
 
 /// A detector fault mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,17 +164,6 @@ pub enum SensingKind {
     },
 }
 
-/// A scheduled detector fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SensingFault {
-    /// When the fault is active.
-    pub window: Window,
-    /// Which links it hits.
-    pub links: LinkSel,
-    /// What it does.
-    pub kind: SensingKind,
-}
-
 /// A signal-actuation fault mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ActuationKind {
@@ -167,17 +178,6 @@ pub enum ActuationKind {
     /// Nothing discharges through the intersection (forced all-red),
     /// regardless of the displayed phase.
     AllRed,
-}
-
-/// A scheduled actuation fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActuationFault {
-    /// When the fault is active.
-    pub window: Window,
-    /// Which intersections it hits.
-    pub nodes: NodeSel,
-    /// What it does.
-    pub kind: ActuationKind,
 }
 
 /// A communication fault mode on the partner-message channel.
@@ -205,17 +205,6 @@ pub enum CommsKind {
     },
 }
 
-/// A scheduled communication fault.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommsFault {
-    /// When the fault is active.
-    pub window: Window,
-    /// Which receiving agents it hits.
-    pub receivers: AgentSel,
-    /// What it does.
-    pub kind: CommsKind,
-}
-
 /// A deterministic schedule of sensing/actuation/communication faults.
 ///
 /// Built with the same chained-builder style as the training stack's
@@ -240,115 +229,93 @@ impl ChaosPlan {
     /// Detector dropout: targeted links read all-zero with probability
     /// `p` each second of `window`.
     pub fn sensor_dropout(mut self, window: Window, links: LinkSel, p: f64) -> Self {
-        self.sensing.push(SensingFault {
-            window,
-            links,
-            kind: SensingKind::Dropout { p },
-        });
+        self.sensing
+            .push(Fault::new(window, links, SensingKind::Dropout { p }));
         self
     }
 
     /// Stuck detector: targeted links freeze at their reading from the
     /// window's first second.
     pub fn sensor_stuck(mut self, window: Window, links: LinkSel) -> Self {
-        self.sensing.push(SensingFault {
-            window,
-            links,
-            kind: SensingKind::StuckAtLast,
-        });
+        self.sensing
+            .push(Fault::new(window, links, SensingKind::StuckAtLast));
         self
     }
 
     /// Gaussian count noise of amplitude `sigma` on targeted links.
     pub fn sensor_noise(mut self, window: Window, links: LinkSel, sigma: f64) -> Self {
-        self.sensing.push(SensingFault {
-            window,
-            links,
-            kind: SensingKind::Noise { sigma },
-        });
+        self.sensing
+            .push(Fault::new(window, links, SensingKind::Noise { sigma }));
         self
     }
 
     /// Constant additive count bias of `delta` vehicles on targeted
     /// links.
     pub fn sensor_bias(mut self, window: Window, links: LinkSel, delta: f64) -> Self {
-        self.sensing.push(SensingFault {
-            window,
-            links,
-            kind: SensingKind::Bias { delta },
-        });
+        self.sensing
+            .push(Fault::new(window, links, SensingKind::Bias { delta }));
         self
     }
 
     /// Command loss: each phase request at targeted intersections is
     /// dropped with probability `p` (the phase holds).
     pub fn command_loss(mut self, window: Window, nodes: NodeSel, p: f64) -> Self {
-        self.actuation.push(ActuationFault {
-            window,
-            nodes,
-            kind: ActuationKind::CommandLoss { p },
-        });
+        self.actuation
+            .push(Fault::new(window, nodes, ActuationKind::CommandLoss { p }));
         self
     }
 
     /// Stuck signal: every phase request at targeted intersections is
     /// ignored for the window's duration.
     pub fn stuck_phase(mut self, window: Window, nodes: NodeSel) -> Self {
-        self.actuation.push(ActuationFault {
-            window,
-            nodes,
-            kind: ActuationKind::StuckPhase,
-        });
+        self.actuation
+            .push(Fault::new(window, nodes, ActuationKind::StuckPhase));
         self
     }
 
     /// Forced all-red: nothing discharges through targeted
     /// intersections for the window's duration.
     pub fn all_red(mut self, window: Window, nodes: NodeSel) -> Self {
-        self.actuation.push(ActuationFault {
-            window,
-            nodes,
-            kind: ActuationKind::AllRed,
-        });
+        self.actuation
+            .push(Fault::new(window, nodes, ActuationKind::AllRed));
         self
     }
 
     /// Message drop: each partner-message delivery to targeted
     /// receivers is lost with probability `p`.
     pub fn message_drop(mut self, window: Window, receivers: AgentSel, p: f64) -> Self {
-        self.comms.push(CommsFault {
-            window,
-            receivers,
-            kind: CommsKind::Drop { p },
-        });
+        self.comms
+            .push(Fault::new(window, receivers, CommsKind::Drop { p }));
         self
     }
 
     /// Message delay: deliveries to targeted receivers arrive `steps`
     /// decision steps late.
     pub fn message_delay(mut self, window: Window, receivers: AgentSel, steps: u32) -> Self {
-        self.comms.push(CommsFault {
-            window,
-            receivers,
-            kind: CommsKind::Delay { steps },
-        });
+        self.comms
+            .push(Fault::new(window, receivers, CommsKind::Delay { steps }));
         self
     }
 
     /// Message corruption of amplitude `amp` on deliveries to targeted
     /// receivers.
     pub fn message_corrupt(mut self, window: Window, receivers: AgentSel, amp: f64) -> Self {
-        self.comms.push(CommsFault {
-            window,
-            receivers,
-            kind: CommsKind::Corrupt { amp },
-        });
+        self.comms
+            .push(Fault::new(window, receivers, CommsKind::Corrupt { amp }));
         self
     }
 
     /// Whether the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.sensing.is_empty() && self.actuation.is_empty() && self.comms.is_empty()
+    }
+
+    /// Whether an all-red window blocks every discharge through `node`
+    /// at `time`.
+    pub fn all_red_at(&self, time: u32, node: NodeId) -> bool {
+        self.actuation
+            .iter()
+            .any(|f| matches!(f.kind, ActuationKind::AllRed) && f.in_scope(time, node))
     }
 
     /// The scheduled sensing faults.
@@ -372,7 +339,6 @@ impl ChaosPlan {
     /// (crate::Scenario::fingerprint) it identifies a compiled world
     /// including its injected incidents.
     pub fn fingerprint(&self) -> u64 {
-        use crate::scenario::Fnv64;
         let mut h = Fnv64::new();
         let window = |h: &mut Fnv64, w: &Window| {
             h.write_u64(u64::from(w.start));
@@ -381,10 +347,7 @@ impl ChaosPlan {
         h.write_usize(self.sensing.len());
         for f in &self.sensing {
             window(&mut h, &f.window);
-            match f.links {
-                LinkSel::All => h.write_u64(u64::MAX),
-                LinkSel::One(l) => h.write_usize(l.index()),
-            }
+            h.write_u64(f.target.one().map_or(u64::MAX, |x| x.index() as u64));
             match f.kind {
                 SensingKind::Dropout { p } => {
                     h.write_u64(0);
@@ -404,10 +367,7 @@ impl ChaosPlan {
         h.write_usize(self.actuation.len());
         for f in &self.actuation {
             window(&mut h, &f.window);
-            match f.nodes {
-                NodeSel::All => h.write_u64(u64::MAX),
-                NodeSel::One(n) => h.write_usize(n.index()),
-            }
+            h.write_u64(f.target.one().map_or(u64::MAX, |x| x.index() as u64));
             match f.kind {
                 ActuationKind::CommandLoss { p } => {
                     h.write_u64(0);
@@ -420,10 +380,7 @@ impl ChaosPlan {
         h.write_usize(self.comms.len());
         for f in &self.comms {
             window(&mut h, &f.window);
-            match f.receivers {
-                AgentSel::All => h.write_u64(u64::MAX),
-                AgentSel::One(a) => h.write_usize(a),
-            }
+            h.write_u64(f.target.one().map_or(u64::MAX, |a| a as u64));
             match f.kind {
                 CommsKind::Drop { p } => {
                     h.write_u64(0);
@@ -443,30 +400,20 @@ impl ChaosPlan {
     }
 }
 
-/// Per-fault seed salt: decorrelates the streams of distinct faults in
-/// the same plan while staying fully deterministic.
-pub fn fault_salt(seed: u64, fault_idx: usize) -> u64 {
-    seed ^ 0x94D0_49BB_1331_11EBu64.wrapping_mul(fault_idx as u64 + 1)
-}
-
-/// Deterministic per-`(time, entity)` uniform sample in `[0, 1)`
-/// (splitmix64 hash) — the same family the detector-degradation path
-/// uses. Consumes no RNG state.
-pub fn chaos_uniform(seed: u64, time: u32, entity: usize) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(time) + 1))
-        .wrapping_add((entity as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
+/// The draw of fault `idx` of a plan seeded with `seed` at
+/// `(time, entity)`: a deterministic `[0, 1)` sample from the fault's
+/// own salted stream ([`det::salt`], [`det::uniform`]). Consumes no RNG
+/// state.
+#[inline]
+pub fn draw(seed: u64, idx: usize, time: u32, entity: usize) -> f64 {
+    det::uniform(det::salt(seed, idx), time, entity)
 }
 
 /// Deterministic per-`(time, entity)` standard Gaussian (Box–Muller
-/// over two [`chaos_uniform`] streams).
+/// over two [`det::uniform`] streams).
 pub fn chaos_gaussian(seed: u64, time: u32, entity: usize) -> f64 {
-    let u1 = chaos_uniform(seed, time, entity).max(1e-12);
-    let u2 = chaos_uniform(seed ^ 0xA5A5_A5A5_A5A5_A5A5, time, entity);
+    let u1 = det::uniform(seed, time, entity).max(1e-12);
+    let u2 = det::uniform(seed ^ 0xA5A5_A5A5_A5A5_A5A5, time, entity);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
@@ -485,16 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn selectors_match() {
-        assert!(LinkSel::All.matches(LinkId(3)));
-        assert!(LinkSel::One(LinkId(3)).matches(LinkId(3)));
-        assert!(!LinkSel::One(LinkId(3)).matches(LinkId(4)));
-        assert!(NodeSel::One(NodeId(1)).matches(NodeId(1)));
-        assert!(AgentSel::All.matches(7));
-        assert!(!AgentSel::One(0).matches(7));
-    }
-
-    #[test]
     fn builder_accumulates_and_empty_is_empty() {
         assert!(ChaosPlan::new().is_empty());
         let plan = ChaosPlan::new()
@@ -508,18 +445,32 @@ mod tests {
     }
 
     #[test]
-    fn chaos_uniform_is_deterministic_and_in_range() {
+    fn fault_scope_needs_open_window_and_matching_target() {
+        let f = Fault::new(
+            Window::new(5, 9),
+            NodeSel::One(NodeId(2)),
+            ActuationKind::AllRed,
+        );
+        assert!(f.in_scope(5, NodeId(2)));
+        assert!(!f.in_scope(9, NodeId(2)), "window is half-open");
+        assert!(!f.in_scope(6, NodeId(1)), "selector misses other nodes");
+        assert_eq!(f.target.one(), Some(NodeId(2)));
+        assert_eq!(AgentSel::All.one(), None);
+        assert!(LinkSel::All.matches(LinkId(3)));
+        assert!(!AgentSel::One(0).matches(7));
+    }
+
+    #[test]
+    fn draws_are_deterministic_in_range_and_salted_per_fault() {
         for t in 0..200 {
             for e in 0..8 {
-                let u = chaos_uniform(42, t, e);
+                let u = draw(42, 0, t, e);
                 assert!((0.0..1.0).contains(&u));
-                assert_eq!(u.to_bits(), chaos_uniform(42, t, e).to_bits());
+                assert_eq!(u.to_bits(), det::uniform(det::salt(42, 0), t, e).to_bits());
             }
         }
-        assert_ne!(
-            chaos_uniform(1, 5, 0).to_bits(),
-            chaos_uniform(2, 5, 0).to_bits()
-        );
+        assert_ne!(draw(1, 0, 5, 0).to_bits(), draw(2, 0, 5, 0).to_bits());
+        assert_ne!(draw(7, 0, 3, 1).to_bits(), draw(7, 1, 3, 1).to_bits());
     }
 
     #[test]
@@ -527,14 +478,5 @@ mod tests {
         let n = 4000;
         let mean: f64 = (0..n).map(|t| chaos_gaussian(9, t, 0)).sum::<f64>() / f64::from(n);
         assert!(mean.abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    fn fault_salts_decorrelate_streams() {
-        assert_ne!(fault_salt(7, 0), fault_salt(7, 1));
-        assert_ne!(
-            chaos_uniform(fault_salt(7, 0), 3, 1).to_bits(),
-            chaos_uniform(fault_salt(7, 1), 3, 1).to_bits()
-        );
     }
 }

@@ -46,18 +46,6 @@ impl DetectorConfig {
     }
 }
 
-/// Deterministic per-(time, entity) uniform sample in `[0, 1)` used for
-/// reproducible sensor-degradation experiments (splitmix64 hash).
-pub(crate) fn degradation_uniform(seed: u64, time: u32, entity: usize) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(time) + 1))
-        .wrapping_add((entity as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 /// Sensor reading for one link as seen from an intersection.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct LinkObs {

@@ -77,7 +77,6 @@ pub struct TscEnv {
     /// Whether episodes run on the legacy tick oracle instead of the
     /// event core (see [`Simulation::new_legacy`]); preserved across
     /// [`reset`](Self::reset).
-    #[cfg_attr(not(feature = "legacy-oracle"), allow(dead_code))]
     legacy: bool,
 }
 
@@ -131,7 +130,6 @@ impl TscEnv {
     /// # Errors
     ///
     /// Same as [`new`](Self::new).
-    #[cfg(feature = "legacy-oracle")]
     pub fn new_legacy(
         scenario: Scenario,
         sim_config: SimConfig,
@@ -230,7 +228,6 @@ impl TscEnv {
 
     /// Starts a new episode with `seed` and returns initial observations.
     pub fn reset(&mut self, seed: u64) -> Vec<IntersectionObs> {
-        #[cfg(feature = "legacy-oracle")]
         if self.legacy {
             self.sim = Simulation::with_chaos_legacy(
                 &self.scenario,

@@ -34,7 +34,7 @@ use crate::error::SimError;
 use crate::events::EventQueue;
 use crate::ids::{LinkId, NodeId};
 use crate::network::{Movement, Network};
-use crate::sim::{forced_all_red_in, head_step_in, Simulation};
+use crate::sim::{head_step_in, Simulation};
 use crate::vehicle::{Vehicle, VehiclePosition};
 
 /// Sentinel for "no signal controls this link's downstream node".
@@ -582,7 +582,7 @@ impl Simulation {
                             if !self.signals[sig as usize].permits(link_id, movement) {
                                 break LaneMode::StalledSignal;
                             }
-                            if forced_all_red_in(&self.chaos, now, ev.link_to[link_idx]) {
+                            if self.chaos.all_red_at(now, ev.link_to[link_idx]) {
                                 // The signal itself is willing; the
                                 // chaos window closes by wall clock,
                                 // so stay hot and re-check each tick.

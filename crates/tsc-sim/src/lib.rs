@@ -59,8 +59,8 @@ pub mod stats;
 pub mod vehicle;
 
 pub use chaos::{
-    ActuationFault, ActuationKind, AgentSel, ChaosPlan, CommsFault, CommsKind, LinkSel, NodeSel,
-    SensingFault, SensingKind, Window,
+    ActuationFault, ActuationKind, AgentSel, ChaosPlan, CommsFault, CommsKind, Fault, LinkSel,
+    NodeSel, Sel, SensingFault, SensingKind, Window,
 };
 pub use demand::{ArrivalModel, FlowProfile, OdFlow};
 pub use detector::{DetectorConfig, IntersectionObs, LinkObs};
@@ -72,8 +72,9 @@ pub use network::{Lane, Link, Movement, Network, NetworkBuilder, Node};
 pub use recorder::{Recorder, Sample};
 pub use rollout::{derive_rollout_seed, RolloutSet};
 pub use routing::shortest_route;
-pub use scenario::{Boundary, Fnv64, Scenario};
+pub use scenario::{Boundary, Scenario};
 pub use signal::{Phase, SignalPlan, SignalState};
 pub use sim::{SimConfig, Simulation};
 pub use stats::{TravelTimeSummary, TripStats};
+pub use tsc_obs::det::{self, Fnv64};
 pub use vehicle::{Vehicle, VehiclePosition};

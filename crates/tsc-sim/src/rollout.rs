@@ -58,20 +58,16 @@ impl RolloutSet {
 /// Derives the episode seed for replica `env_idx` in collection round
 /// `round` from the experiment's `base_seed`.
 ///
-/// SplitMix64-style finalizer over the packed inputs: statistically
-/// independent streams for every `(base_seed, round, env_idx)` triple,
-/// yet fully reproducible — the parallel and serial rollout paths feed
-/// identical seeds to identical replicas, which is one half of the
-/// bit-for-bit determinism argument (the other half is canonical
-/// env-index merge order; see DESIGN.md).
+/// [`det::mix3`](tsc_obs::det::mix3) over the packed inputs:
+/// statistically independent streams for every `(base_seed, round,
+/// env_idx)` triple, yet fully reproducible — the parallel and serial
+/// rollout paths feed identical seeds to identical replicas, which is
+/// one half of the bit-for-bit determinism argument (the other half is
+/// canonical env-index merge order; see DESIGN.md).
 #[must_use]
+#[inline]
 pub fn derive_rollout_seed(base_seed: u64, round: u64, env_idx: u64) -> u64 {
-    let mut z = base_seed
-        .wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(env_idx.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    tsc_obs::det::mix3(base_seed, round, env_idx)
 }
 
 #[cfg(test)]

@@ -12,69 +12,13 @@
 pub mod grid;
 pub mod patterns;
 
+use tsc_obs::det::Fnv64;
+
 use crate::demand::OdFlow;
 use crate::error::SimError;
 use crate::ids::NodeId;
 use crate::network::Network;
 use crate::signal::SignalPlan;
-
-/// FNV-1a 64-bit hasher used to fingerprint compiled scenarios.
-///
-/// The fingerprint identifies a scenario *structurally* — same network,
-/// plans, and demand bits ⇒ same fingerprint — so bench reports and
-/// tsc-obs events can attribute every run to an exact world. The same
-/// construction backs the checkpoint config fingerprint in the core
-/// crate; this copy exists because the dependency points the other way.
-#[derive(Debug, Clone, Copy)]
-pub struct Fnv64(u64);
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV-1a offset basis.
-    pub fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    /// Folds raw bytes into the state.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    /// Folds a string (as UTF-8 bytes plus a terminator, so `"ab","c"`
-    /// and `"a","bc"` hash differently).
-    pub fn write_str(&mut self, s: &str) {
-        self.write_bytes(s.as_bytes());
-        self.write_bytes(&[0xff]);
-    }
-
-    /// Folds a `u64` (little-endian bytes).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Folds a `usize`.
-    pub fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    /// Folds an `f64` by its exact bit pattern.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// The boundary terminals of a generated network, grouped by the side
 /// they sit on: `west`/`east` indexed by row, `south`/`north` by

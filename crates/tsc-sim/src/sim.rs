@@ -17,21 +17,20 @@
 //!   lanes until the signal or downstream link changes. Per-vehicle
 //!   halted-time counters are materialized lazily when a vehicle
 //!   leaves its queue (see [`Simulation::vehicles`]).
-//! * the **legacy tick stepper** (behind the default-on
-//!   `legacy-oracle` feature) — the original stepper that polls every
-//!   entity every second. It is retained verbatim as the test oracle:
-//!   the differential parity harness (`tests/parity.rs`) asserts that
-//!   both engines produce bit-identical observation, reward, and
-//!   metric streams at the 1 s observation boundary.
+//! * the **legacy tick stepper** — the original stepper that polls
+//!   every entity every second. It is retained verbatim, and always
+//!   compiled, as the test oracle: the differential parity harness
+//!   (`tests/parity.rs`) asserts that both engines produce
+//!   bit-identical observation, reward, and metric streams at the 1 s
+//!   observation boundary.
 
 use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tsc_obs::det;
 
-use crate::chaos::{
-    chaos_gaussian, chaos_uniform, fault_salt, ActuationKind, ChaosPlan, SensingKind,
-};
+use crate::chaos::{chaos_gaussian, draw, ActuationKind, ChaosPlan, SensingKind};
 use crate::demand::{ArrivalModel, DemandGenerator};
 use crate::detector::{DetectorConfig, IntersectionObs, LinkObs};
 use crate::error::SimError;
@@ -158,8 +157,8 @@ pub struct Simulation {
     /// and discarded when the window closes.
     pub(crate) stuck_readings: HashMap<(usize, LinkId), LinkObs>,
     /// Discrete-event engine state. `Some` selects the event core (the
-    /// default); `None` selects the legacy per-second tick stepper
-    /// (`legacy-oracle` feature), kept as the parity-test oracle.
+    /// default); `None` selects the legacy per-second tick stepper,
+    /// kept as the parity-test oracle.
     pub(crate) ev: Option<Box<crate::event::EventState>>,
 }
 
@@ -181,13 +180,11 @@ impl Simulation {
     /// instead of the event core. The two engines implement the same
     /// model and are asserted bit-identical at the observation boundary
     /// by the parity harness (`tests/parity.rs`); the legacy engine
-    /// exists as that harness's oracle and is compiled only with the
-    /// default-on `legacy-oracle` feature.
+    /// exists as that harness's oracle and is always compiled.
     ///
     /// # Errors
     ///
     /// Same as [`new`](Self::new).
-    #[cfg(feature = "legacy-oracle")]
     pub fn new_legacy(scenario: &Scenario, config: SimConfig, seed: u64) -> Result<Self, SimError> {
         Self::build(scenario, config, seed, false)
     }
@@ -283,7 +280,6 @@ impl Simulation {
     /// # Errors
     ///
     /// Same as [`new`](Self::new).
-    #[cfg(feature = "legacy-oracle")]
     pub fn with_chaos_legacy(
         scenario: &Scenario,
         config: SimConfig,
@@ -385,28 +381,17 @@ impl Simulation {
     /// Whether an active actuation fault swallows a phase command at
     /// `node` right now.
     fn command_dropped(&self, node: NodeId) -> bool {
-        for (fi, f) in self.chaos.actuation().iter().enumerate() {
-            if !f.window.contains(self.time) || !f.nodes.matches(node) {
-                continue;
-            }
-            match f.kind {
-                ActuationKind::StuckPhase => return true,
-                ActuationKind::CommandLoss { p } => {
-                    let u = chaos_uniform(fault_salt(self.chaos_seed, fi), self.time, node.index());
-                    if u < p {
-                        return true;
+        let t = self.time;
+        self.chaos.actuation().iter().enumerate().any(|(fi, f)| {
+            f.in_scope(t, node)
+                && match f.kind {
+                    ActuationKind::StuckPhase => true,
+                    ActuationKind::CommandLoss { p } => {
+                        draw(self.chaos_seed, fi, t, node.index()) < p
                     }
+                    ActuationKind::AllRed => false,
                 }
-                ActuationKind::AllRed => {}
-            }
-        }
-        false
-    }
-
-    /// Whether an active all-red window blocks every discharge through
-    /// `node` right now.
-    fn forced_all_red(&self, node: NodeId) -> bool {
-        forced_all_red_in(&self.chaos, self.time, node)
+        })
     }
 
     /// Vehicles currently on the network or in the insertion backlog.
@@ -453,15 +438,11 @@ impl Simulation {
         if self.ev.is_some() {
             return self.step_event();
         }
-        #[cfg(feature = "legacy-oracle")]
-        return self.step_legacy();
-        #[cfg(not(feature = "legacy-oracle"))]
-        unreachable!("legacy stepper requested but the `legacy-oracle` feature is disabled");
+        self.step_legacy()
     }
 
     /// The original per-second tick stepper, kept verbatim as the parity
     /// oracle for the event core (DESIGN.md §12).
-    #[cfg(feature = "legacy-oracle")]
     fn step_legacy(&mut self) -> Result<(), SimError> {
         let _span = tsc_obs::span!("sim.tick");
         let t = f64::from(self.time);
@@ -505,7 +486,6 @@ impl Simulation {
         }
     }
 
-    #[cfg(feature = "legacy-oracle")]
     fn insert_backlog(&mut self) {
         for (link, queue) in self.backlog.iter_mut() {
             let state = &mut self.links[link.index()];
@@ -534,7 +514,6 @@ impl Simulation {
         head_step_in(&self.scenario.network, vehicle)
     }
 
-    #[cfg(feature = "legacy-oracle")]
     fn discharge(&mut self) -> Result<(), SimError> {
         let rate = 1.0 / self.config.saturation_headway;
         // Iterate links in id order for determinism.
@@ -578,7 +557,7 @@ impl Simulation {
                             let permitted = match signal_idx {
                                 Some(i) => {
                                     self.signals[i].permits(link_id, movement)
-                                        && !self.forced_all_red(to_node)
+                                        && !self.chaos.all_red_at(self.time, to_node)
                                 }
                                 None => true,
                             };
@@ -607,7 +586,6 @@ impl Simulation {
         Ok(())
     }
 
-    #[cfg(feature = "legacy-oracle")]
     fn advance_running(&mut self) -> Result<(), SimError> {
         let dt = 1.0;
         let speed = self.config.free_speed;
@@ -653,7 +631,6 @@ impl Simulation {
         Ok(())
     }
 
-    #[cfg(feature = "legacy-oracle")]
     fn accrue_waits(&mut self) {
         for link in &self.links {
             for lane in &link.lanes {
@@ -664,7 +641,6 @@ impl Simulation {
         }
     }
 
-    #[cfg(feature = "legacy-oracle")]
     fn mean_of_max_waits(&self) -> f64 {
         if self.signals.is_empty() {
             return 0.0;
@@ -832,18 +808,13 @@ impl Simulation {
     /// `(fault, time, link)`; consumes no RNG state.
     fn apply_sensing_chaos(&self, obs: &mut LinkObs) {
         for (fi, f) in self.chaos.sensing().iter().enumerate() {
-            if !f.window.contains(self.time) || !f.links.matches(obs.link) {
+            if !f.in_scope(self.time, obs.link) {
                 continue;
             }
-            let salt = fault_salt(self.chaos_seed, fi);
             match f.kind {
                 SensingKind::Dropout { p } => {
-                    if chaos_uniform(salt, self.time, obs.link.index()) < p {
-                        obs.count = 0.0;
-                        obs.halting = 0.0;
-                        obs.halting_by_movement = [0.0; 3];
-                        obs.head_wait = 0.0;
-                        return;
+                    if draw(self.chaos_seed, fi, self.time, obs.link.index()) < p {
+                        return blank(obs);
                     }
                 }
                 SensingKind::StuckAtLast => {
@@ -855,13 +826,9 @@ impl Simulation {
                     }
                 }
                 SensingKind::Noise { sigma } => {
+                    let salt = det::salt(self.chaos_seed, fi);
                     let g = chaos_gaussian(salt, self.time, obs.link.index());
-                    let factor = (1.0 + sigma * g).max(0.0);
-                    obs.count *= factor;
-                    obs.halting *= factor;
-                    for h in &mut obs.halting_by_movement {
-                        *h *= factor;
-                    }
+                    scale(obs, (1.0 + sigma * g).max(0.0));
                 }
                 SensingKind::Bias { delta } => {
                     obs.count = (obs.count + delta).max(0.0);
@@ -890,7 +857,7 @@ impl Simulation {
             }
             for link_idx in 0..self.links.len() {
                 let l = LinkId(link_idx);
-                if f.links.matches(l) && !self.stuck_readings.contains_key(&(fi, l)) {
+                if f.target.matches(l) && !self.stuck_readings.contains_key(&(fi, l)) {
                     captures.push(((fi, l), self.sense_link(l)));
                 }
             }
@@ -909,31 +876,14 @@ impl Simulation {
     fn degrade(&self, obs: &mut LinkObs) {
         let d = &self.config.detector;
         if d.dropout > 0.0 {
-            let u = crate::detector::degradation_uniform(
-                self.degradation_seed,
-                self.time,
-                obs.link.index(),
-            );
+            let u = det::uniform(self.degradation_seed, self.time, obs.link.index());
             if u < d.dropout {
-                obs.count = 0.0;
-                obs.halting = 0.0;
-                obs.halting_by_movement = [0.0; 3];
-                obs.head_wait = 0.0;
-                return;
+                return blank(obs);
             }
         }
         if d.noise > 0.0 {
-            let u = crate::detector::degradation_uniform(
-                self.degradation_seed ^ 0xA5A5,
-                self.time,
-                obs.link.index(),
-            );
-            let factor = 1.0 + d.noise * (2.0 * u - 1.0);
-            obs.count *= factor;
-            obs.halting *= factor;
-            for h in &mut obs.halting_by_movement {
-                *h *= factor;
-            }
+            let u = det::uniform(self.degradation_seed ^ 0xA5A5, self.time, obs.link.index());
+            scale(obs, 1.0 + d.noise * (2.0 * u - 1.0));
         }
     }
 
@@ -1002,12 +952,21 @@ pub(crate) fn head_step_in(
     }
 }
 
-/// Whether an all-red actuation window covers `node` at `time` (free
-/// function twin of `Simulation::forced_all_red`, for the event core).
-pub(crate) fn forced_all_red_in(chaos: &ChaosPlan, time: u32, node: NodeId) -> bool {
-    chaos.actuation().iter().any(|f| {
-        matches!(f.kind, ActuationKind::AllRed) && f.window.contains(time) && f.nodes.matches(node)
-    })
+/// A failed detector's reading: nothing counted, queued or waiting.
+fn blank(obs: &mut LinkObs) {
+    obs.count = 0.0;
+    obs.halting = 0.0;
+    obs.halting_by_movement = [0.0; 3];
+    obs.head_wait = 0.0;
+}
+
+/// Count noise: scales the counts and queues by `factor`.
+fn scale(obs: &mut LinkObs, factor: f64) {
+    obs.count *= factor;
+    obs.halting *= factor;
+    for h in &mut obs.halting_by_movement {
+        *h *= factor;
+    }
 }
 
 #[cfg(test)]

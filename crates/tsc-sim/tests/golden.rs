@@ -22,8 +22,7 @@
 //! Regenerate after an *intentional* contract change with:
 //!
 //! ```text
-//! cargo test -p tsc-sim --test golden --features legacy-oracle \
-//!     -- --ignored regenerate_golden_traces
+//! cargo test -p tsc-sim --test golden -- --ignored regenerate_golden_traces
 //! ```
 
 use std::fmt::Write as _;
@@ -166,7 +165,6 @@ fn event_core_matches_golden_traces() {
 
 /// The oracle itself must still match what it generated — guards
 /// against accidental semantic drift in the legacy stepper.
-#[cfg(feature = "legacy-oracle")]
 #[test]
 fn legacy_oracle_matches_golden_traces() {
     for (name, pattern, seed) in CASES {
@@ -181,7 +179,6 @@ fn legacy_oracle_matches_golden_traces() {
 /// Rewrites every fixture from the legacy oracle. Ignored by default:
 /// run explicitly after an intentional observable-contract change, and
 /// review the diff.
-#[cfg(feature = "legacy-oracle")]
 #[test]
 #[ignore = "regenerates fixtures; run explicitly after intentional contract changes"]
 fn regenerate_golden_traces() {

@@ -3,16 +3,14 @@
 //! The discrete-event engine (DESIGN.md §12) replaces the per-second
 //! hot loop but keeps the *observable* contract at the 1 s boundary
 //! bit-for-bit: detector aggregates, rewards, metrics, chaos-fault
-//! semantics and the RNG stream must all agree with the legacy stepper
-//! retained behind the `legacy-oracle` feature. This harness runs both
+//! semantics and the RNG stream must all agree with the legacy stepper,
+//! which is always compiled as the oracle. This harness runs both
 //! engines in lockstep over every flow pattern, with and without chaos
 //! plans, and asserts step-level agreement on every stream the rest of
 //! the stack consumes — plus a proptest generator over random demand
 //! programs, chaos plans and action schedules.
 //!
 //! Run it alone with `cargo test -p tsc-sim --test parity`.
-
-#![cfg(feature = "legacy-oracle")]
 
 use proptest::prelude::*;
 use tsc_sim::scenario::grid::{Grid, GridConfig};

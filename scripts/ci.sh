@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> one hash module: splitmix64/FNV-1a constants only in tsc-obs/src/det.rs"
+if grep -rniE --include='*.rs' '9e37_?79b9_?7f4a_?7c15|cbf2_?9ce4_?8422_?2325' crates/*/src |
+    grep -v '^crates/tsc-obs/src/det\.rs:'; then
+    echo "ci.sh: hash constants above belong in tsc_obs::det" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
