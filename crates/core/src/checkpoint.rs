@@ -34,7 +34,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use tsc_nn::{load_adam, load_params, save_adam, save_params, Adam, LoadError, Params};
+use tsc_nn::{load_adam, load_params, save_adam, save_params, Adam, LoadError, Params, Tensor};
 
 /// FNV-1a 64-bit hash — the checksum of the checkpoint trailer and the
 /// configuration fingerprint (corruption detection, not cryptography).
@@ -186,14 +186,10 @@ impl Checkpoint {
                     "sections must alternate params, adam".into(),
                 ));
             };
-            let params = load_params(params_text.as_bytes())?;
-            let opt = load_adam(adam_text.as_bytes())?;
-            if !opt.matches(&params) {
-                return Err(LoadError::Format(
-                    "optimizer moments do not match their bundle's parameters".into(),
-                ));
-            }
-            bundles.push((params, opt));
+            bundles.push((
+                load_params(params_text.as_bytes())?,
+                load_adam(adam_text.as_bytes())?,
+            ));
         }
         Ok(Checkpoint {
             fingerprint,
@@ -202,6 +198,60 @@ impl Checkpoint {
             base_seed,
             bundles,
         })
+    }
+
+    /// The one semantic check every restore path runs before it copies
+    /// anything: the checkpoint must come from a learner configured as
+    /// `cfg`, hold one bundle per `expected` parameter set with the
+    /// same tensor count and shapes, carry Adam state shaped like its
+    /// bundle, and contain only finite weights and Adam moments. The
+    /// checksum only proves the bytes are intact; this proves they
+    /// describe a model that can be restored and run.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Format`] for a fingerprint, bundle-count, layout or
+    /// optimizer mismatch; [`LoadError::NonFinite`] naming the first
+    /// tensor that holds a NaN or infinity.
+    pub fn validate<'a>(
+        &self,
+        cfg: &crate::config::PairUpLightConfig,
+        expected: impl ExactSizeIterator<Item = &'a Params>,
+    ) -> Result<(), LoadError> {
+        let fingerprint = config_fingerprint(cfg);
+        if self.fingerprint != fingerprint {
+            return Err(LoadError::Format(format!(
+                "configuration fingerprint mismatch: checkpoint {:016x}, expected {fingerprint:016x}",
+                self.fingerprint
+            )));
+        }
+        if self.bundles.len() != expected.len() {
+            return Err(LoadError::Format(format!(
+                "expected {} bundles, found {}",
+                expected.len(),
+                self.bundles.len()
+            )));
+        }
+        let finite = |t: &Tensor| t.data().iter().all(|x| x.is_finite());
+        for ((params, opt), want) in self.bundles.iter().zip(expected) {
+            check_layout(want, params)?;
+            if !opt.matches(params) {
+                return Err(LoadError::Format(
+                    "optimizer moments do not match their bundle's parameters".into(),
+                ));
+            }
+            let (m, v) = opt.moments();
+            for ((id, m), v) in params.ids().zip(m).zip(v) {
+                let name = params.name(id);
+                if !finite(params.value(id)) {
+                    return Err(LoadError::NonFinite(format!("weights of {name}")));
+                }
+                if !(finite(m) && finite(v)) {
+                    return Err(LoadError::NonFinite(format!("Adam moments of {name}")));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Writes the checkpoint to `path` atomically: the encoded text
@@ -251,6 +301,29 @@ impl Checkpoint {
         let text = std::fs::read_to_string(path).map_err(LoadError::Io)?;
         Self::decode(&text)
     }
+}
+
+/// Validates that `loaded` has exactly the tensor count and shapes of
+/// `expected`, returning a typed error (never panicking) on mismatch.
+fn check_layout(expected: &Params, loaded: &Params) -> Result<(), LoadError> {
+    if loaded.len() != expected.len() {
+        return Err(LoadError::Format(format!(
+            "parameter layout mismatch: expected {} tensors, found {}",
+            expected.len(),
+            loaded.len()
+        )));
+    }
+    for (a, b) in expected.ids().zip(loaded.ids()) {
+        if expected.value(a).shape() != loaded.value(b).shape() {
+            return Err(LoadError::Format(format!(
+                "parameter layout mismatch: tensor {} is {:?}, expected {:?}",
+                expected.name(a),
+                loaded.value(b).shape(),
+                expected.value(a).shape()
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// When to checkpoint and how many files to keep.
@@ -373,7 +446,6 @@ impl CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc_nn::Tensor;
 
     fn sample() -> Checkpoint {
         let mut params = Params::new();
@@ -428,6 +500,64 @@ mod tests {
         assert!(Checkpoint::decode(&truncated).is_err());
         assert!(Checkpoint::decode("").is_err());
         assert!(Checkpoint::decode("no trailer at all\n").is_err());
+    }
+
+    /// `sample()` stamped with `cfg`'s fingerprint, plus the layout it
+    /// restores into.
+    fn sample_for(cfg: &crate::config::PairUpLightConfig) -> (Checkpoint, Params) {
+        let mut ck = sample();
+        ck.fingerprint = config_fingerprint(cfg);
+        let layout = ck.bundles[0].0.clone();
+        (ck, layout)
+    }
+
+    #[test]
+    fn validate_rejects_mismatched_tensor_shapes_and_optimizer() {
+        let cfg = crate::config::PairUpLightConfig::default();
+        let (ck, layout) = sample_for(&cfg);
+        ck.validate(&cfg, [&layout].into_iter()).unwrap();
+        let mut wide = Params::new();
+        wide.add("w", Tensor::zeros(2, 3));
+        wide.add("b", Tensor::zeros(1, 2));
+        let err = ck.validate(&cfg, [&wide].into_iter()).unwrap_err();
+        assert!(err.to_string().contains("tensor w is (2, 2)"), "{err}");
+        // Adam state shaped for another bundle.
+        let (mut ck, layout) = sample_for(&cfg);
+        ck.bundles[0].1 = Adam::new(&wide, 3e-4);
+        let err = ck.validate(&cfg, [&layout].into_iter()).unwrap_err();
+        assert!(err.to_string().contains("optimizer"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_weights_and_moments() {
+        let cfg = crate::config::PairUpLightConfig::default();
+        for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let (mut ck, layout) = sample_for(&cfg);
+            let id = ck.bundles[0].0.ids().nth(1).unwrap();
+            ck.bundles[0].0.value_mut(id).data_mut()[0] = bad;
+            // The poisoned value survives the text round trip with a
+            // valid checksum: only the validator catches it.
+            let ck = Checkpoint::decode(&ck.encode()).unwrap();
+            let err = ck.validate(&cfg, [&layout].into_iter()).unwrap_err();
+            assert!(
+                matches!(&err, LoadError::NonFinite(what) if what == "weights of b"),
+                "{err}"
+            );
+
+            let (mut ck, layout) = sample_for(&cfg);
+            let (m, v) = ck.bundles[0].1.moments();
+            let (mut m, v) = (m.to_vec(), v.to_vec());
+            m[0].data_mut()[1] = bad;
+            let opt = &ck.bundles[0].1;
+            let (b1, b2) = opt.betas();
+            ck.bundles[0].1 = Adam::from_state(opt.lr(), b1, b2, opt.epsilon(), 3, m, v).unwrap();
+            let ck = Checkpoint::decode(&ck.encode()).unwrap();
+            let err = ck.validate(&cfg, [&layout].into_iter()).unwrap_err();
+            assert!(
+                matches!(&err, LoadError::NonFinite(what) if what == "Adam moments of w"),
+                "{err}"
+            );
+        }
     }
 
     fn ck_text() -> String {

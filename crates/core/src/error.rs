@@ -1,12 +1,14 @@
-//! Typed errors of the fault-tolerant training loop.
+//! Typed errors of the training loop and checkpoint restore.
 
 use std::error::Error;
 use std::fmt;
 
 use tsc_sim::SimError;
 
-/// Errors produced by checkpointed training
-/// ([`PairUpLight::train_checkpointed`](crate::PairUpLight::train_checkpointed))
+/// Errors produced by training
+/// ([`PairUpLight::train`](crate::PairUpLight::train),
+/// [`PairUpLight::train_checkpointed`](crate::PairUpLight::train_checkpointed),
+/// [`PairUpLight::collect_rollouts`](crate::PairUpLight::collect_rollouts))
 /// and checkpoint restore ([`PairUpLight::resume`](crate::PairUpLight::resume)).
 #[derive(Debug)]
 #[non_exhaustive]

@@ -10,9 +10,9 @@
 //! a newer checkpoint without rebuilding topology, which is what makes
 //! serving-side hot reload atomic.
 
-use tsc_nn::{LoadError, Params};
+use tsc_nn::Params;
 
-use crate::checkpoint::{config_fingerprint, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::config::PairUpLightConfig;
 use crate::error::TrainError;
 use crate::model::ActorNet;
@@ -97,33 +97,16 @@ impl PolicySnapshot {
 
     /// Builds a snapshot with this snapshot's topology and the
     /// checkpoint's weights — the serving-side hot-reload primitive.
-    /// All-or-nothing: the fingerprint, bundle count, and every
-    /// bundle's tensor layout are validated before anything is copied,
-    /// so an `Err` means `self` is untouched and no partial state
-    /// exists anywhere.
+    /// All-or-nothing: [`Checkpoint::validate`] runs before anything is
+    /// copied, so an `Err` means `self` is untouched and no partial
+    /// state exists anywhere.
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Load`] on fingerprint, bundle-count, or
-    /// layout mismatch.
+    /// Returns [`TrainError::Load`] for every
+    /// [`Checkpoint::validate`] failure.
     pub fn with_checkpoint(&self, ck: &Checkpoint) -> Result<PolicySnapshot, TrainError> {
-        let expected = config_fingerprint(&self.cfg);
-        if ck.fingerprint != expected {
-            return Err(TrainError::Load(LoadError::Format(format!(
-                "configuration fingerprint mismatch: checkpoint {:016x}, policy {expected:016x}",
-                ck.fingerprint
-            ))));
-        }
-        if ck.bundles.len() != self.actors.len() {
-            return Err(TrainError::Load(LoadError::Format(format!(
-                "expected {} bundles, found {}",
-                self.actors.len(),
-                ck.bundles.len()
-            ))));
-        }
-        for ((params, _), (loaded, _)) in self.actors.iter().zip(&ck.bundles) {
-            crate::trainer::PairUpLight::check_layout(params, loaded)?;
-        }
+        ck.validate(&self.cfg, self.actors.iter().map(|(params, _)| params))?;
         let mut next = self.clone();
         for ((params, _), (loaded, _)) in next.actors.iter_mut().zip(&ck.bundles) {
             params.copy_from(loaded);

@@ -66,12 +66,14 @@ impl NetBundle {
     }
 }
 
-/// An in-memory restore point: cloned weights and optimizer state plus
-/// the counters that drive every derived seed. Taken before each
-/// checkpointed round so the divergence sentinel can roll the round
-/// back without touching the filesystem.
+/// An in-memory restore point: every bundle's weight tensors and
+/// optimizer state plus the counters that drive every derived seed.
+/// Taken before each training round so the divergence sentinel can roll
+/// the round back without touching the filesystem. Gradient buffers are
+/// left out: Adam zeroes them after every step, so between rounds they
+/// hold nothing.
 struct TrainerState {
-    bundles: Vec<(Params, Adam)>,
+    bundles: Vec<(Vec<Tensor>, Adam)>,
     episodes_trained: usize,
     rounds_trained: u64,
 }
@@ -442,9 +444,20 @@ impl PairUpLight {
     /// and no floating-point value is accumulated across threads —
     /// the output is bit-identical to the serial path.
     ///
+    /// Each worker runs inside `catch_unwind`, and a panicked replica
+    /// is retried with the **same** seed (bounded by
+    /// `cfg.max_round_retries`). Because
+    /// [`collect_rollout`](Self::collect_rollout) takes `&self` and
+    /// starts from `env.reset(seed)`, a retry observes no trace of the
+    /// aborted attempt — the recovered result is bit-identical to one
+    /// where the panic never happened, which is why `AssertUnwindSafe`
+    /// is sound here.
+    ///
     /// # Errors
     ///
-    /// Propagates the first (lowest env index) environment failure.
+    /// [`TrainError::Sim`] for the first (lowest env index) environment
+    /// failure; [`TrainError::WorkerPanic`] when a replica still panics
+    /// after its retries.
     ///
     /// # Panics
     ///
@@ -454,18 +467,45 @@ impl PairUpLight {
         set: &mut RolloutSet,
         seeds: &[u64],
         parallel: bool,
-    ) -> Result<Vec<Rollout>, SimError> {
-        assert_eq!(seeds.len(), set.len(), "one seed per replica");
-        let mut slots: Vec<Option<Result<Rollout, SimError>>> =
-            (0..set.len()).map(|_| None).collect();
-        if parallel && set.len() > 1 {
-            let this = self;
+    ) -> Result<Vec<Rollout>, TrainError> {
+        self.collect_round(set.envs_mut(), seeds, parallel)
+    }
+
+    /// [`collect_rollouts`](Self::collect_rollouts) over a slice of
+    /// replicas, so a one-replica round can drive the caller's env
+    /// without cloning it. Injected worker faults are looked up under
+    /// the learner's current round.
+    fn collect_round(
+        &self,
+        envs: &mut [TscEnv],
+        seeds: &[u64],
+        parallel: bool,
+    ) -> Result<Vec<Rollout>, TrainError> {
+        assert_eq!(seeds.len(), envs.len(), "one seed per replica");
+        let round = self.rounds_trained;
+        let run = |env: &mut TscEnv, seed: u64, e: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                if self
+                    .faults
+                    .lock()
+                    .expect("fault plan lock")
+                    .take_panic(round, e)
+                {
+                    panic!("injected rollout worker fault (round {round}, env {e})");
+                }
+                self.collect_rollout(env, seed)
+            }))
+        };
+        let run = &run;
+        let mut slots: Vec<Option<std::thread::Result<Result<Rollout, SimError>>>> =
+            (0..envs.len()).map(|_| None).collect();
+        if parallel && envs.len() > 1 {
             std::thread::scope(|scope| {
-                for ((env, &seed), slot) in
-                    set.envs_mut().iter_mut().zip(seeds).zip(slots.iter_mut())
+                for (e, ((env, &seed), slot)) in
+                    envs.iter_mut().zip(seeds).zip(slots.iter_mut()).enumerate()
                 {
                     scope.spawn(move || {
-                        *slot = Some(this.collect_rollout(env, seed));
+                        *slot = Some(run(env, seed, e));
                         // thread::scope waits for this closure, not for
                         // TLS destructors: fold span stats in now so a
                         // report taken right after the scope sees them.
@@ -474,14 +514,36 @@ impl PairUpLight {
                 }
             });
         } else {
-            for ((env, &seed), slot) in set.envs_mut().iter_mut().zip(seeds).zip(slots.iter_mut()) {
-                *slot = Some(self.collect_rollout(env, seed));
+            for (e, ((env, &seed), slot)) in
+                envs.iter_mut().zip(seeds).zip(slots.iter_mut()).enumerate()
+            {
+                *slot = Some(run(env, seed, e));
             }
         }
-        slots
-            .into_iter()
-            .map(|s| s.expect("every worker fills its slot"))
-            .collect()
+        // Retry panicked replicas serially (panics are the rare path);
+        // healthy replicas' results are already in their slots.
+        let mut out = Vec::with_capacity(envs.len());
+        for (e, (slot, env)) in slots.into_iter().zip(envs.iter_mut()).enumerate() {
+            let mut result = slot.expect("every worker fills its slot");
+            let mut retries = 0u32;
+            while result.is_err() {
+                if retries >= self.cfg.max_round_retries {
+                    return Err(TrainError::WorkerPanic {
+                        round,
+                        env: e,
+                        retries,
+                    });
+                }
+                retries += 1;
+                self.with_obs(|log| log.log_worker_panic_retry(round, e, retries));
+                result = run(env, seeds[e], e);
+            }
+            let Ok(rollout) = result else {
+                unreachable!("loop above exits only on success")
+            };
+            out.push(rollout?);
+        }
+        Ok(out)
     }
 
     /// Merges a round of rollouts (already in env-index order) into one
@@ -554,7 +616,8 @@ impl PairUpLight {
     }
 
     /// Runs one training episode (explore + update) and returns its
-    /// diagnostics. Equivalent to a `num_envs = 1` collection round.
+    /// diagnostics: one `num_envs = 1` round without the panic
+    /// isolation or divergence rollback of [`train`](Self::train).
     ///
     /// # Errors
     ///
@@ -743,53 +806,35 @@ impl PairUpLight {
     /// after each.
     ///
     /// With `cfg.num_envs = 1` this is the classic loop: one episode
-    /// per PPO update, episode `i` seeded `base_seed + i`. With
-    /// `K = num_envs > 1`, each update consumes a *round* of `K`
+    /// per PPO update, episode `i` of the call seeded `base_seed + i`.
+    /// With `K = num_envs > 1`, each update consumes a *round* of `K`
     /// episodes collected from independent env replicas against a
-    /// frozen policy snapshot, replica `e` of round `r` seeded
-    /// [`derive_rollout_seed`]`(base_seed, r, e)`; rounds repeat until
-    /// `episodes` is reached, so the history length rounds up to a
-    /// multiple of `K`. Results are bit-identical whether the replicas
-    /// run on worker threads (`cfg.parallel_rollouts`) or serially.
+    /// frozen policy snapshot, replica `e` of the call's round `r`
+    /// seeded [`derive_rollout_seed`]`(base_seed, r, e)`; rounds repeat
+    /// until `episodes` is reached, so the history length rounds up to
+    /// a multiple of `K`. Results are bit-identical whether the
+    /// replicas run on worker threads (`cfg.parallel_rollouts`) or
+    /// serially.
+    ///
+    /// This is [`train_checkpointed`](Self::train_checkpointed) without
+    /// a checkpoint manager, except that the seed schedule counts from
+    /// the start of the call rather than from the learner's lifetime
+    /// counters: panicked workers are retried and diverged rounds are
+    /// rolled back the same way.
     ///
     /// # Errors
     ///
-    /// Propagates environment failures.
+    /// As [`train_checkpointed`](Self::train_checkpointed), minus the
+    /// checkpoint failures.
     pub fn train(
         &mut self,
         env: &mut TscEnv,
         episodes: usize,
         base_seed: u64,
-        mut on_episode: impl FnMut(&TrainEpisode),
-    ) -> Result<Vec<TrainEpisode>, SimError> {
-        let k = self.cfg.num_envs.max(1);
-        self.with_obs(|log| log.log_train_start(base_seed, episodes, self.rounds_trained));
-        let mut history = Vec::with_capacity(episodes);
-        if k == 1 {
-            for i in 0..episodes {
-                let ep = self.train_episode(env, base_seed + i as u64)?;
-                on_episode(&ep);
-                history.push(ep);
-            }
-            return Ok(history);
-        }
-        // `env` serves as the prototype; replicas are reset with their
-        // derived seeds before every round, so its current state never
-        // leaks into training.
-        let mut set = RolloutSet::new(env, k);
-        let mut round: u64 = 0;
-        while history.len() < episodes {
-            let seeds: Vec<u64> = (0..k)
-                .map(|e| derive_rollout_seed(base_seed, round, e as u64))
-                .collect();
-            let rollouts = self.collect_rollouts(&mut set, &seeds, self.cfg.parallel_rollouts)?;
-            for ep in self.update_round(rollouts) {
-                on_episode(&ep);
-                history.push(ep);
-            }
-            round += 1;
-        }
-        Ok(history)
+        on_episode: impl FnMut(&TrainEpisode),
+    ) -> Result<Vec<TrainEpisode>, TrainError> {
+        let origin = (self.episodes_trained, self.rounds_trained);
+        self.train_rounds(env, episodes, base_seed, origin, None, on_episode)
     }
 
     /// FNV-1a-64 over the configuration's debug representation —
@@ -807,7 +852,10 @@ impl PairUpLight {
             bundles: self
                 .bundles
                 .iter()
-                .map(|b| (b.params.clone(), b.opt.clone()))
+                .map(|b| {
+                    let weights = b.params.ids().map(|id| b.params.value(id).clone());
+                    (weights.collect(), b.opt.clone())
+                })
                 .collect(),
             episodes_trained: self.episodes_trained,
             rounds_trained: self.rounds_trained,
@@ -815,8 +863,10 @@ impl PairUpLight {
     }
 
     fn restore(&mut self, state: &TrainerState) {
-        for (bundle, (params, opt)) in self.bundles.iter_mut().zip(&state.bundles) {
-            bundle.params.copy_from(params);
+        for (bundle, (weights, opt)) in self.bundles.iter_mut().zip(&state.bundles) {
+            for (id, w) in bundle.params.ids().zip(weights) {
+                bundle.params.value_mut(id).clone_from(w);
+            }
             bundle.opt = opt.clone();
         }
         self.episodes_trained = state.episodes_trained;
@@ -870,42 +920,22 @@ impl PairUpLight {
     /// Restores a checkpoint written by
     /// [`save_checkpoint`](Self::save_checkpoint) into this learner and
     /// returns the `base_seed` of the interrupted run. All-or-nothing:
-    /// the checksum, fingerprint, and every bundle's layout are
-    /// validated before the first weight is touched, so a rejected
-    /// checkpoint leaves the learner exactly as it was.
+    /// the checksum and then [`Checkpoint::validate`] (fingerprint,
+    /// layout, finite content) are checked before the first weight is
+    /// touched, so a rejected checkpoint leaves the learner exactly as
+    /// it was.
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::Load`] for corrupt/truncated files,
-    /// fingerprint mismatches, and layout mismatches; [`TrainError::Io`]
+    /// Returns [`TrainError::Load`] for corrupt/truncated files and
+    /// every [`Checkpoint::validate`] failure; [`TrainError::Io`]
     /// wrapped inside [`TrainError::Load`] for filesystem failures.
     pub fn load_checkpoint(
         &mut self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<u64, TrainError> {
         let ck = Checkpoint::read(path)?;
-        if ck.fingerprint != self.config_fingerprint() {
-            return Err(TrainError::Load(tsc_nn::LoadError::Format(format!(
-                "configuration fingerprint mismatch: checkpoint {:016x}, learner {:016x}",
-                ck.fingerprint,
-                self.config_fingerprint()
-            ))));
-        }
-        if ck.bundles.len() != self.bundles.len() {
-            return Err(TrainError::Load(tsc_nn::LoadError::Format(format!(
-                "expected {} bundles, found {}",
-                self.bundles.len(),
-                ck.bundles.len()
-            ))));
-        }
-        for (bundle, (params, opt)) in self.bundles.iter().zip(&ck.bundles) {
-            Self::check_layout(&bundle.params, params)?;
-            if !opt.matches(&bundle.params) {
-                return Err(TrainError::Load(tsc_nn::LoadError::Format(
-                    "optimizer state does not match parameter layout".into(),
-                )));
-            }
-        }
+        ck.validate(&self.cfg, self.bundles.iter().map(|b| &b.params))?;
         for (bundle, (params, opt)) in self.bundles.iter_mut().zip(ck.bundles) {
             bundle.params.copy_from(&params);
             bundle.opt = opt;
@@ -937,102 +967,18 @@ impl PairUpLight {
         Ok((model, base_seed))
     }
 
-    /// Collects one round of rollouts with panic isolation: each worker
-    /// runs inside `catch_unwind`, and a panicked replica is retried
-    /// with the **same** derived seed (bounded by
-    /// `cfg.max_round_retries`). Because [`collect_rollout`]
-    /// (Self::collect_rollout) takes `&self` and starts from
-    /// `env.reset(seed)`, a retry observes no trace of the aborted
-    /// attempt — the recovered round is bit-identical to one where the
-    /// panic never happened, which is why `AssertUnwindSafe` is sound
-    /// here.
-    fn collect_round_isolated(
-        &self,
-        set: &mut RolloutSet,
-        seeds: &[u64],
-        round: u64,
-    ) -> Result<Vec<Rollout>, TrainError> {
-        assert_eq!(seeds.len(), set.len(), "one seed per replica");
-        let run = |env: &mut TscEnv, seed: u64, e: usize| {
-            catch_unwind(AssertUnwindSafe(|| {
-                if self
-                    .faults
-                    .lock()
-                    .expect("fault plan lock")
-                    .take_panic(round, e)
-                {
-                    panic!("injected rollout worker fault (round {round}, env {e})");
-                }
-                self.collect_rollout(env, seed)
-            }))
-        };
-        let run = &run;
-        let mut slots: Vec<Option<std::thread::Result<Result<Rollout, SimError>>>> =
-            (0..set.len()).map(|_| None).collect();
-        if self.cfg.parallel_rollouts && set.len() > 1 {
-            std::thread::scope(|scope| {
-                for (e, ((env, &seed), slot)) in set
-                    .envs_mut()
-                    .iter_mut()
-                    .zip(seeds)
-                    .zip(slots.iter_mut())
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        *slot = Some(run(env, seed, e));
-                        tsc_obs::span::flush_thread();
-                    });
-                }
-            });
-        } else {
-            for (e, ((env, &seed), slot)) in set
-                .envs_mut()
-                .iter_mut()
-                .zip(seeds)
-                .zip(slots.iter_mut())
-                .enumerate()
-            {
-                *slot = Some(run(env, seed, e));
-            }
-        }
-        // Retry panicked replicas serially (panics are the rare path);
-        // healthy replicas' results are already in their slots.
-        let mut out = Vec::with_capacity(set.len());
-        for (e, (slot, env)) in slots.into_iter().zip(set.envs_mut()).enumerate() {
-            let mut result = slot.expect("every worker fills its slot");
-            let mut retries = 0u32;
-            while result.is_err() {
-                if retries >= self.cfg.max_round_retries {
-                    return Err(TrainError::WorkerPanic {
-                        round,
-                        env: e,
-                        retries,
-                    });
-                }
-                retries += 1;
-                self.with_obs(|log| log.log_worker_panic_retry(round, e, retries));
-                result = run(env, seeds[e], e);
-            }
-            let Ok(rollout) = result else {
-                unreachable!("loop above exits only on success")
-            };
-            out.push(rollout?);
-        }
-        Ok(out)
-    }
-
     /// The fault-tolerant training loop: [`train`](Self::train)'s
-    /// schedule plus panic-isolated workers, the divergence sentinel
-    /// with rollback, and periodic atomic checkpoints.
+    /// rounds plus periodic atomic checkpoints through `manager`,
+    /// pruned to its retention policy.
     ///
-    /// Per round it (1) snapshots the full training state in memory,
-    /// (2) collects rollouts with panicked workers retried on the same
-    /// seed, (3) runs the PPO update, (4) checks the update statistics
-    /// and parameters for divergence — on a trip the snapshot is
-    /// restored and the round retried with a deterministically reseeded
-    /// schedule (the same seed would diverge identically), bounded by
-    /// `cfg.max_round_retries` — and (5) writes a checkpoint through
-    /// `manager` when one is due, pruning to the retention policy.
+    /// Per round it (1) snapshots the weights, optimizer state and
+    /// counters in memory, (2) collects rollouts with panicked workers
+    /// retried on the same seed, (3) runs the PPO update, (4) checks the
+    /// update statistics and parameters for divergence — on a trip the
+    /// snapshot is restored and the round retried with a
+    /// deterministically reseeded schedule (the same seed would diverge
+    /// identically), bounded by `cfg.max_round_retries` — and (5)
+    /// writes a checkpoint through `manager` when one is due.
     ///
     /// Seeding continues from the learner's lifetime counters rather
     /// than restarting at zero: round `r` of a resumed learner draws
@@ -1052,6 +998,23 @@ impl PairUpLight {
         episodes: usize,
         base_seed: u64,
         manager: Option<&CheckpointManager>,
+        on_episode: impl FnMut(&TrainEpisode),
+    ) -> Result<Vec<TrainEpisode>, TrainError> {
+        self.train_rounds(env, episodes, base_seed, (0, 0), manager, on_episode)
+    }
+
+    /// The one round loop behind [`train`](Self::train) and
+    /// [`train_checkpointed`](Self::train_checkpointed). `origin` is
+    /// the `(episodes_trained, rounds_trained)` the seed schedule
+    /// counts from: the call's start for `train`, the learner's birth
+    /// for `train_checkpointed`.
+    fn train_rounds(
+        &mut self,
+        env: &mut TscEnv,
+        episodes: usize,
+        base_seed: u64,
+        origin: (usize, u64),
+        manager: Option<&CheckpointManager>,
         mut on_episode: impl FnMut(&TrainEpisode),
     ) -> Result<Vec<TrainEpisode>, TrainError> {
         /// Salts the reseeded retry of a diverged round so it draws
@@ -1059,34 +1022,41 @@ impl PairUpLight {
         const RETRY_SALT: u64 = 0x8E7B_11F5;
         let k = self.cfg.num_envs.max(1);
         self.with_obs(|log| log.log_train_start(base_seed, episodes, self.rounds_trained));
-        let mut set = RolloutSet::new(env, k);
+        // One replica drives `env` itself; more are cloned from it.
+        // Every rollout starts from `env.reset(seed)`, so the env's
+        // current state never leaks into training either way.
+        let mut replicas = (k > 1).then(|| RolloutSet::new(env, k));
         let mut history = Vec::with_capacity(episodes);
         while history.len() < episodes {
             let round = self.rounds_trained;
             let restore_point = self.snapshot();
             let mut attempt: u32 = 0;
             let round_records = loop {
-                // Attempt 0 reproduces `train`'s nominal seed schedule
-                // (continued across resume via the lifetime counters);
-                // retries derive a fresh deterministic schedule.
+                // Attempt 0 follows the nominal seed schedule; retries
+                // derive a fresh deterministic one.
                 let seeds: Vec<u64> = if k == 1 {
-                    let nominal = base_seed + self.episodes_trained as u64;
+                    let nominal = base_seed + (self.episodes_trained - origin.0) as u64;
                     vec![if attempt == 0 {
                         nominal
                     } else {
                         derive_rollout_seed(nominal, u64::from(attempt), RETRY_SALT)
                     }]
                 } else {
+                    let nominal = round - origin.1;
                     let round_key = if attempt == 0 {
-                        round
+                        nominal
                     } else {
-                        derive_rollout_seed(round, u64::from(attempt), RETRY_SALT)
+                        derive_rollout_seed(nominal, u64::from(attempt), RETRY_SALT)
                     };
                     (0..k)
                         .map(|e| derive_rollout_seed(base_seed, round_key, e as u64))
                         .collect()
                 };
-                let rollouts = self.collect_round_isolated(&mut set, &seeds, round)?;
+                let envs = match &mut replicas {
+                    Some(set) => set.envs_mut(),
+                    None => std::slice::from_mut(&mut *env),
+                };
+                let rollouts = self.collect_round(envs, &seeds, self.cfg.parallel_rollouts)?;
                 let records = self.update_round(rollouts);
                 if self.faults.lock().expect("fault plan lock").take_nan(round) {
                     self.poison_first_parameter();
@@ -1167,109 +1137,6 @@ impl PairUpLight {
             }
         }
         out
-    }
-
-    /// Saves every bundle's weights to `path` (tsc-nn text format; one
-    /// concatenated stream with a bundle-count header line).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem failures.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        let mut w = std::io::BufWriter::new(std::fs::File::create(path)?);
-        use std::io::Write as _;
-        writeln!(w, "pairuplight-model v1 bundles={}", self.bundles.len())?;
-        for b in &self.bundles {
-            tsc_nn::save_params(&b.params, &mut w)?;
-        }
-        Ok(())
-    }
-
-    /// Restores weights saved by [`save`](Self::save) into this
-    /// learner. The learner must have been constructed with the same
-    /// configuration (bundle count and tensor shapes must match).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O failures, malformed files, or layout
-    /// mismatches.
-    pub fn load(&mut self, path: impl AsRef<std::path::Path>) -> Result<(), tsc_nn::LoadError> {
-        let file = std::fs::File::open(path).map_err(tsc_nn::LoadError::Io)?;
-        let mut r = std::io::BufReader::new(file);
-        use std::io::BufRead as _;
-        let mut header = String::new();
-        r.read_line(&mut header).map_err(tsc_nn::LoadError::Io)?;
-        let expect = format!("pairuplight-model v1 bundles={}", self.bundles.len());
-        if header.trim() != expect {
-            return Err(tsc_nn::LoadError::Format(format!(
-                "expected header {expect:?}, found {header:?}"
-            )));
-        }
-        // The tsc-nn streams are written back to back; parse each by
-        // buffering the full remainder and splitting on headers.
-        let mut rest = String::new();
-        std::io::Read::read_to_string(&mut r, &mut rest).map_err(tsc_nn::LoadError::Io)?;
-        let mut sections: Vec<String> = Vec::new();
-        for line in rest.lines() {
-            if line.trim() == "tsc-nn-params v1" {
-                sections.push(String::new());
-            }
-            let Some(last) = sections.last_mut() else {
-                return Err(tsc_nn::LoadError::Format("missing params header".into()));
-            };
-            last.push_str(line);
-            last.push('\n');
-        }
-        if sections.len() != self.bundles.len() {
-            return Err(tsc_nn::LoadError::Format(format!(
-                "expected {} bundles, found {}",
-                self.bundles.len(),
-                sections.len()
-            )));
-        }
-        // Parse and validate *every* section before copying anything,
-        // so a failure in a later bundle cannot leave the learner with
-        // a half-restored (bundle 0 new, bundle 1 old) parameter set.
-        let mut parsed = Vec::with_capacity(sections.len());
-        for section in &sections {
-            parsed.push(tsc_nn::load_params(section.as_bytes())?);
-        }
-        for (bundle, loaded) in self.bundles.iter().zip(&parsed) {
-            Self::check_layout(&bundle.params, loaded)?;
-        }
-        for (bundle, loaded) in self.bundles.iter_mut().zip(parsed) {
-            bundle.params.copy_from(&loaded);
-        }
-        Ok(())
-    }
-
-    /// Validates that `loaded` has exactly the tensor count and shapes
-    /// of `expected`, returning a typed error (never panicking) on
-    /// mismatch. Crate-visible so
-    /// [`PolicySnapshot`](crate::policy::PolicySnapshot) hot-reload
-    /// validates checkpoints with the same rules.
-    pub(crate) fn check_layout(
-        expected: &Params,
-        loaded: &Params,
-    ) -> Result<(), tsc_nn::LoadError> {
-        if loaded.len() != expected.len() {
-            return Err(tsc_nn::LoadError::Format(format!(
-                "parameter layout mismatch: expected {} tensors, found {}",
-                expected.len(),
-                loaded.len()
-            )));
-        }
-        for (a, b) in expected.ids().zip(loaded.ids()) {
-            if expected.value(a).shape() != loaded.value(b).shape() {
-                return Err(tsc_nn::LoadError::Format(format!(
-                    "parameter layout mismatch: tensor {} is {:?}, expected {:?}",
-                    expected.name(a),
-                    loaded.value(b).shape(),
-                    expected.value(a).shape()
-                )));
-            }
-        }
-        Ok(())
     }
 
     /// Snapshots the deployable policy state (actor weights, encoder,
@@ -1828,40 +1695,76 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trips_policy() {
+    fn load_checkpoint_round_trips_policy() {
         let mut env = tiny_env(140);
         let mut model = PairUpLight::new(&env, small_cfg());
         model.train_episode(&mut env, 1).unwrap();
-        let path = std::env::temp_dir().join("pairuplight_test_model.txt");
-        model.save(&path).unwrap();
-        // A fresh model with the same config but different weights.
-        let mut cfg2 = small_cfg();
-        cfg2.seed = 99;
-        let mut restored = PairUpLight::new(&env, cfg2);
-        restored.load(&path).unwrap();
+        let path = std::env::temp_dir().join("pairuplight_test_round_trip.ckpt");
+        model.save_checkpoint(&path, 7).unwrap();
+        // A fresh learner with the same config still holds its initial
+        // weights until the checkpoint is restored.
+        let mut restored = PairUpLight::new(&env, small_cfg());
+        assert_ne!(restored.parameter_vector(), model.parameter_vector());
+        assert_eq!(restored.load_checkpoint(&path).unwrap(), 7);
         let _ = std::fs::remove_file(&path);
-        // Both controllers must now act identically.
+        assert_eq!(restored.episodes_trained(), 1);
+        // Both greedy controllers must now act identically all episode.
         let mut a = model.controller();
         let mut b = restored.controller();
-        let obs = env.reset(5);
-        // Seeded execution RNGs differ (seed in cfg), so force greedy.
         a.set_greedy();
         b.set_greedy();
-        a.reset();
-        b.reset();
-        assert_eq!(a.decide(&obs), b.decide(&obs));
+        let stats_a = env.run_episode(&mut a, 5).unwrap();
+        let stats_b = env.run_episode(&mut b, 5).unwrap();
+        assert_eq!(stats_a, stats_b);
     }
 
+    /// Weight shapes do not depend on the grid, so under parameter
+    /// sharing a checkpoint moves between grid sizes; with one bundle
+    /// per agent it cannot, and the layout check says so.
     #[test]
-    fn load_rejects_mismatched_layout() {
-        let env = tiny_env(140);
-        let model = PairUpLight::new(&env, small_cfg());
-        let path = std::env::temp_dir().join("pairuplight_test_mismatch.txt");
-        model.save(&path).unwrap();
-        let mut cfg2 = small_cfg();
-        cfg2.parameter_sharing = false; // 4 bundles instead of 1
-        let mut other = PairUpLight::new(&env, cfg2);
-        assert!(other.load(&path).is_err());
+    fn load_checkpoint_rejects_another_grids_layout() {
+        let grid = Grid::build(GridConfig {
+            cols: 3,
+            rows: 3,
+            spacing: 150.0,
+        })
+        .unwrap();
+        let f = flows(&grid, FlowPattern::Five, &PatternConfig::default()).unwrap();
+        let big_env = TscEnv::new(
+            grid.scenario("big", f).unwrap(),
+            SimConfig::default(),
+            EnvConfig::default(),
+            0,
+        )
+        .unwrap();
+        let path = std::env::temp_dir().join("pairuplight_test_other_grid.ckpt");
+        for parameter_sharing in [true, false] {
+            // Same config (so the fingerprint matches), other topology.
+            let cfg = PairUpLightConfig {
+                parameter_sharing,
+                ..small_cfg()
+            };
+            PairUpLight::new(&big_env, cfg)
+                .save_checkpoint(&path, 0)
+                .unwrap();
+            let mut env = tiny_env(140);
+            let mut model = PairUpLight::new(&env, cfg);
+            model.train_episode(&mut env, 1).unwrap();
+            let before = model.parameter_vector();
+            let result = model.load_checkpoint(&path);
+            if parameter_sharing {
+                assert_eq!(result.unwrap(), 0);
+                continue;
+            }
+            let err = result.unwrap_err();
+            assert!(
+                matches!(&err, TrainError::Load(tsc_nn::LoadError::Format(m))
+                    if m.contains("expected 4 bundles, found 9")),
+                "{err}"
+            );
+            assert_eq!(model.parameter_vector(), before, "learner untouched");
+            assert_eq!(model.episodes_trained(), 1);
+        }
         let _ = std::fs::remove_file(&path);
     }
 

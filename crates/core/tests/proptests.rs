@@ -165,9 +165,10 @@ fn train_env() -> TscEnv {
     .expect("env")
 }
 
-/// Trains 2 rounds x 2 parallel replicas with the given faults and
-/// returns the final parameter bits.
-fn train_with_faults(plan: FaultPlan) -> Vec<u32> {
+/// Trains 2 rounds x 2 parallel replicas with the given faults through
+/// `train_checkpointed` (or `train`) and returns the final parameter
+/// bits.
+fn train_with_faults(plan: FaultPlan, checkpointed: bool) -> Vec<u32> {
     let mut cfg = PairUpLightConfig {
         hidden: 12,
         lstm_hidden: 12,
@@ -183,9 +184,12 @@ fn train_with_faults(plan: FaultPlan) -> Vec<u32> {
     let model = PairUpLight::new(&env, cfg);
     model.inject_faults(plan);
     let mut model = model;
-    model
-        .train_checkpointed(&mut env, 4, 21, None, |_| {})
-        .expect("training must survive injected worker panics");
+    if checkpointed {
+        model.train_checkpointed(&mut env, 4, 21, None, |_| {})
+    } else {
+        model.train(&mut env, 4, 21, |_| {})
+    }
+    .expect("training must survive injected worker panics");
     model
         .parameter_vector()
         .iter()
@@ -204,13 +208,15 @@ proptest! {
     fn injected_worker_panics_never_change_final_parameters(
         points in proptest::collection::vec(0u64..4, 1..4),
     ) {
-        let mut plan = FaultPlan::new();
-        for &p in &points {
-            // Decode each draw into (round 0..2, env replica 0..2).
-            plan = plan.panic_worker(p / 2, (p % 2) as usize);
+        for checkpointed in [false, true] {
+            let mut plan = FaultPlan::new();
+            for &p in &points {
+                // Decode each draw into (round 0..2, env replica 0..2).
+                plan = plan.panic_worker(p / 2, (p % 2) as usize);
+            }
+            let faulted = train_with_faults(plan, checkpointed);
+            let clean = train_with_faults(FaultPlan::new(), checkpointed);
+            prop_assert_eq!(faulted, clean);
         }
-        let faulted = train_with_faults(plan);
-        let clean = train_with_faults(FaultPlan::new());
-        prop_assert_eq!(faulted, clean);
     }
 }

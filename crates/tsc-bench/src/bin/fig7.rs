@@ -7,7 +7,7 @@ use tsc_bench::ModelKind;
 fn main() {
     let scale = ExperimentScale::from_args(std::env::args().skip(1));
     eprintln!("Fig. 7 at scale {scale:?}");
-    let run = || -> Result<(), tsc_sim::SimError> {
+    let run = || -> Result<(), pairuplight::TrainError> {
         let fixed = experiments::fixed_time_reference(&scale)?;
         let curves = experiments::training_curves(&scale, &[ModelKind::PairUpLight])?;
         println!("\nFIG. 7 — PAIRUPLIGHT TRAINING PERFORMANCE");

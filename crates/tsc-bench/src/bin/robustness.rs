@@ -43,7 +43,7 @@ fn main() {
     let args = BenchArgs::parse();
     let scale = ExperimentScale::from_args(std::env::args().skip(1));
     eprintln!("robustness study at scale {scale:?}");
-    let run = || -> Result<(String, String, Vec<Json>), tsc_sim::SimError> {
+    let run = || -> Result<(String, String, Vec<Json>), pairuplight::TrainError> {
         let (label, scenario) = match resolve_scenario(&args, scale.seed)? {
             Some(compiled) => {
                 let label = format!(

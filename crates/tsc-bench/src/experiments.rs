@@ -10,6 +10,7 @@
 
 use std::fmt::Write as _;
 
+use pairuplight::TrainError;
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{self, FlowPattern, PatternConfig};
 use tsc_sim::{EnvConfig, Scenario, SimConfig, SimError, TscEnv};
@@ -191,7 +192,7 @@ impl TravelTimeTable {
 /// # Errors
 ///
 /// Propagates scenario/simulation failures.
-pub fn table2(scale: &ExperimentScale) -> Result<TravelTimeTable, SimError> {
+pub fn table2(scale: &ExperimentScale) -> Result<TravelTimeTable, TrainError> {
     let grid = grid(scale)?;
     let pattern_cfg = PatternConfig::default();
     let train_scenario = patterns::grid_scenario(&grid, FlowPattern::One, &pattern_cfg)?;
@@ -239,7 +240,7 @@ pub fn table2(scale: &ExperimentScale) -> Result<TravelTimeTable, SimError> {
 /// # Errors
 ///
 /// Propagates scenario/simulation failures.
-pub fn table3(scale: &ExperimentScale) -> Result<TravelTimeTable, SimError> {
+pub fn table3(scale: &ExperimentScale) -> Result<TravelTimeTable, TrainError> {
     let grid = grid(scale)?;
     let pattern_cfg = PatternConfig::default();
     let scenario = patterns::grid_scenario(&grid, FlowPattern::Five, &pattern_cfg)?;
@@ -333,7 +334,7 @@ pub fn curves_to_csv(curves: &[Curve]) -> String {
 pub fn training_curves(
     scale: &ExperimentScale,
     kinds: &[ModelKind],
-) -> Result<Vec<Curve>, SimError> {
+) -> Result<Vec<Curve>, TrainError> {
     let grid = grid(scale)?;
     let scenario = patterns::grid_scenario(&grid, FlowPattern::One, &PatternConfig::default())?;
     let mut curves = Vec::new();
@@ -376,7 +377,7 @@ pub fn fixed_time_reference(scale: &ExperimentScale) -> Result<f64, SimError> {
 /// # Errors
 ///
 /// Propagates scenario/simulation failures.
-pub fn monaco_training(scale: &ExperimentScale) -> Result<(Vec<Curve>, f64), SimError> {
+pub fn monaco_training(scale: &ExperimentScale) -> Result<(Vec<Curve>, f64), TrainError> {
     let scenario = tsc_scenario::compile(&tsc_scenario::monaco_spec(scale.seed))?.scenario;
     let mut setup = scale.setup();
     setup.heterogeneous = true; // §VI-D: parameter sharing infeasible

@@ -2,11 +2,11 @@
 //! ablations) on an environment and obtain a deployable controller and
 //! a training curve.
 
-use pairuplight::{PairUpLight, PairUpLightConfig};
+use pairuplight::{PairUpLight, PairUpLightConfig, TrainError};
 use tsc_baselines::{
     single_agent_with, CoLight, CoLightConfig, FixedTimeController, Ma2c, Ma2cConfig,
 };
-use tsc_sim::{Controller, SimError, TscEnv};
+use tsc_sim::{Controller, TscEnv};
 
 /// The models of Table II plus the ablations of Figs. 8 and 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -141,47 +141,35 @@ fn pairuplight_config(setup: &TrainSetup, bandwidth: usize) -> PairUpLightConfig
 ///
 /// # Errors
 ///
-/// Propagates environment failures.
+/// Propagates environment failures, and PairUpLight training failures
+/// (see [`PairUpLight::train`]).
 pub fn train_model(
     kind: ModelKind,
     env: &mut TscEnv,
     setup: &TrainSetup,
     mut on_episode: impl FnMut(&CurvePoint),
-) -> Result<TrainedModel, SimError> {
+) -> Result<TrainedModel, TrainError> {
     let mut curve = Vec::with_capacity(setup.episodes);
     let controller: Box<dyn Controller> = match kind {
         ModelKind::FixedTime => Box::new(FixedTimeController::default()),
-        ModelKind::SingleAgent => {
-            let mut model = single_agent_with(env, pairuplight_config(setup, 0));
-            for i in 0..setup.episodes {
-                let ep = model.train_episode(env, setup.seed + i as u64)?;
-                let point = CurvePoint {
-                    episode: i,
-                    avg_waiting_time: ep.stats.avg_waiting_time,
-                    avg_travel_time: ep.stats.avg_travel_time,
-                    total_reward: ep.stats.total_reward,
-                    policy_loss: ep.policy_loss,
-                    value_loss: ep.value_loss,
-                    entropy: ep.entropy,
-                };
-                on_episode(&point);
-                curve.push(point);
-            }
-            Box::new(model.controller())
-        }
-        ModelKind::PairUpLight
+        ModelKind::SingleAgent
+        | ModelKind::PairUpLight
         | ModelKind::PairUpLightNoComm
         | ModelKind::PairUpLightBandwidth(_) => {
             let bandwidth = match kind {
-                ModelKind::PairUpLightNoComm => 0,
+                ModelKind::SingleAgent | ModelKind::PairUpLightNoComm => 0,
                 ModelKind::PairUpLightBandwidth(b) => b,
                 _ => 1,
             };
-            let mut model = PairUpLight::new(env, pairuplight_config(setup, bandwidth));
-            for i in 0..setup.episodes {
-                let ep = model.train_episode(env, setup.seed + i as u64)?;
+            let cfg = pairuplight_config(setup, bandwidth);
+            let mut model = if kind == ModelKind::SingleAgent {
+                single_agent_with(env, cfg)
+            } else {
+                PairUpLight::new(env, cfg)
+            };
+            model.train(env, setup.episodes, setup.seed, |ep| {
                 let point = CurvePoint {
-                    episode: i,
+                    episode: ep.episode,
                     avg_waiting_time: ep.stats.avg_waiting_time,
                     avg_travel_time: ep.stats.avg_travel_time,
                     total_reward: ep.stats.total_reward,
@@ -191,7 +179,7 @@ pub fn train_model(
                 };
                 on_episode(&point);
                 curve.push(point);
-            }
+            })?;
             Box::new(model.controller())
         }
         ModelKind::Ma2c => {

@@ -45,6 +45,8 @@ pub enum LoadError {
     Io(std::io::Error),
     /// The file is not a `tsc-nn-params v1` file or is malformed.
     Format(String),
+    /// The file parsed, but the named tensor holds a NaN or infinity.
+    NonFinite(String),
 }
 
 impl fmt::Display for LoadError {
@@ -52,6 +54,7 @@ impl fmt::Display for LoadError {
         match self {
             LoadError::Io(e) => write!(f, "i/o error: {e}"),
             LoadError::Format(msg) => write!(f, "malformed parameter file: {msg}"),
+            LoadError::NonFinite(what) => write!(f, "non-finite value in {what}"),
         }
     }
 }
@@ -60,7 +63,7 @@ impl Error for LoadError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             LoadError::Io(e) => Some(e),
-            LoadError::Format(_) => None,
+            LoadError::Format(_) | LoadError::NonFinite(_) => None,
         }
     }
 }

@@ -373,8 +373,10 @@ impl LoadPlan {
                 active = true;
                 let burst = if p.jitter > 0 {
                     let u = draw(seed ^ LOAD_SALT, idx, s, tenant);
-                    // u ∈ [0, 1): scales to 0..=jitter inclusive.
-                    (u * (p.jitter + 1) as f64) as u64
+                    // u ∈ [0, 1): scales to 0..=jitter inclusive. The
+                    // `+ 1` is taken in f64 so `jitter = u64::MAX` cannot
+                    // overflow; it is exact for every jitter below 2⁵³.
+                    (u * (p.jitter as f64 + 1.0)) as u64
                 } else {
                     0
                 };
@@ -440,6 +442,17 @@ mod tests {
                 ..Default::default()
             })
             .collect()
+    }
+
+    /// A full-width jitter draws a full-width burst: neither the
+    /// debug-build overflow panic nor the release-build wrap to a
+    /// zero-width burst.
+    #[test]
+    fn max_jitter_does_not_overflow() {
+        let plan = LoadPlan::new().phase(Window::always(), TenantSel::All, 0, u64::MAX);
+        let offered = plan.offered(1, 3, 0);
+        assert!(offered > u64::from(u32::MAX), "{offered}");
+        assert_eq!(offered, plan.offered(1, 3, 0));
     }
 
     #[test]

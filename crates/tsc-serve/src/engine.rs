@@ -262,9 +262,10 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Load`] for truncated/corrupt files,
-    /// fingerprint mismatches, and layout mismatches; the error is
-    /// typed, nothing is partially loaded.
+    /// Returns [`ServeError::Load`] for truncated/corrupt files and
+    /// every [`Checkpoint::validate`] failure (fingerprint, layout,
+    /// non-finite weights); the error is typed, nothing is partially
+    /// loaded.
     pub fn from_checkpoint(
         env: &TscEnv,
         cfg: PairUpLightConfig,
@@ -380,7 +381,8 @@ impl ServeRuntime {
     ///
     /// [`ServeError::ReloadInFlight`] when a reload is already staged;
     /// [`ServeError::Load`] when the checkpoint is truncated, corrupt,
-    /// or does not match the live policy's configuration/layout.
+    /// or fails [`Checkpoint::validate`] against the live policy
+    /// (configuration, layout, non-finite weights).
     pub fn begin_reload(&mut self, path: impl AsRef<Path>) -> Result<(), ServeError> {
         if self.staged.is_some() {
             return Err(ServeError::ReloadInFlight);

@@ -1,7 +1,7 @@
 //! Controller zoo: every controller in the repository — classic
 //! traffic engineering (FixedTime, Actuated, MaxPressure) and the
 //! trained RL models — evaluated head-to-head on the same workload.
-//! Also demonstrates saving and reloading a trained policy.
+//! Also demonstrates checkpointing a trained policy and resuming it.
 //!
 //! ```text
 //! cargo run --release --example controller_zoo [--episodes N]
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut env = TscEnv::new(scenario, SimConfig::default(), env_cfg, 1)?;
 
-    // Train PairUpLight, save it, and reload it into a fresh learner —
-    // the evaluated controller comes from the *reloaded* model.
+    // Train PairUpLight, checkpoint it, and resume it into a fresh
+    // learner — the evaluated controller comes from the *resumed* model.
     let mut cfg = PairUpLightConfig {
         hidden: 32,
         lstm_hidden: 32,
@@ -56,21 +56,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.ppo.epochs = 2;
     let mut model = PairUpLight::new(&env, cfg);
     eprintln!("training PairUpLight for {episodes} episodes …");
-    for i in 0..episodes {
-        let ep = model.train_episode(&mut env, i as u64)?;
-        if i % 10 == 0 {
+    model.train(&mut env, episodes, 0, |ep| {
+        if ep.episode % 10 == 0 {
             eprintln!(
                 "  episode {:>3}: wait {:>7.2}s",
-                i, ep.stats.avg_waiting_time
+                ep.episode, ep.stats.avg_waiting_time
             );
         }
-    }
-    let path = std::env::temp_dir().join("pairuplight_zoo_model.txt");
-    model.save(&path)?;
-    let mut reloaded = PairUpLight::new(&env, cfg);
-    reloaded.load(&path)?;
+    })?;
+    let path = std::env::temp_dir().join("pairuplight_zoo_model.ckpt");
+    model.save_checkpoint(&path, 0)?;
+    let (reloaded, _base_seed) = PairUpLight::resume(&env, cfg, &path)?;
     std::fs::remove_file(&path).ok();
-    eprintln!("policy saved and reloaded from disk\n");
+    eprintln!("policy checkpointed and resumed from disk\n");
 
     println!("controller                         avg wait     avg travel    completed");
     evaluate("FixedTime", &mut env, &mut FixedTimeController::default())?;

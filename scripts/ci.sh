@@ -33,6 +33,12 @@ echo "==> parity smoke (event core vs legacy oracle, all flow patterns)"
 cargo test --release -q -p tsc-sim --test parity
 cargo test --release -q -p tsc-sim --test golden
 
+echo "==> rollout_throughput 60 1 (collect_rollouts fan-out, threaded vs serial, end-to-end)"
+cargo run --release -q -p tsc-bench --bin rollout_throughput -- 60 1
+
+echo "==> checkpoint_overhead 1 (save_checkpoint + resume, every restore verified bit-for-bit)"
+cargo run --release -q -p tsc-bench --bin checkpoint_overhead -- 1
+
 echo "==> serve_grid --smoke (serving runtime end-to-end)"
 cargo run --release -q -p tsc-bench --bin serve_grid -- --smoke
 

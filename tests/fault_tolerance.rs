@@ -5,8 +5,11 @@
 use std::path::PathBuf;
 
 use pairuplight::{
-    CheckpointManager, CheckpointPolicy, FaultPlan, PairUpLight, PairUpLightConfig, TrainError,
+    Checkpoint, CheckpointManager, CheckpointPolicy, FaultPlan, PairUpLight, PairUpLightConfig,
+    TrainError,
 };
+use tsc_nn::LoadError;
+use tsc_serve::{ServeConfig, ServeError, ServeRuntime};
 use tsc_sim::scenario::grid::{Grid, GridConfig};
 use tsc_sim::scenario::patterns::{self, FlowPattern, PatternConfig};
 use tsc_sim::{EnvConfig, SimConfig, TscEnv};
@@ -249,6 +252,70 @@ fn damaged_or_mismatched_checkpoints_are_rejected_without_side_effects() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A checksum proves the bytes are intact, not that the model is sane.
+/// A checkpoint holding one NaN weight, written by the normal writer so
+/// its checksum trailer is valid, is refused by every restore path —
+/// `load_checkpoint`, `ServeRuntime::from_checkpoint` and
+/// `begin_reload` — with a typed non-finite error, and the learner and
+/// the live serving policy stay bit-for-bit as they were.
+#[test]
+fn non_finite_checkpoint_is_rejected_by_every_restore_path() {
+    let cfg = small_cfg();
+    let mut env = tiny_env();
+    let mut model = PairUpLight::new(&env, cfg);
+    model.train_episode(&mut env, 1).expect("episode");
+    let dir = scratch_dir("non_finite");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let (good, bad) = (dir.join("good.txt"), dir.join("bad.txt"));
+    model.save_checkpoint(&good, 0).expect("save");
+    let mut ck = Checkpoint::read(&good).expect("read");
+    let params = &mut ck.bundles[0].0;
+    let id = params.ids().next().expect("a weight tensor");
+    params.value_mut(id).data_mut()[0] = f32::NAN;
+    ck.write_atomic(&bad).expect("write");
+    Checkpoint::read(&bad).expect("the checksum is valid");
+    let non_finite = |e: &TrainError| matches!(e, TrainError::Load(LoadError::NonFinite(_)));
+    // The learner's full state (weights, Adam, counters) as text.
+    let state = |m: &PairUpLight| {
+        let path = dir.join("state.txt");
+        m.save_checkpoint(&path, 0).expect("save");
+        std::fs::read_to_string(&path).expect("read")
+    };
+
+    let mut learner = PairUpLight::new(&env, cfg);
+    learner.train_episode(&mut env, 2).expect("episode");
+    let before = state(&learner);
+    let err = learner.load_checkpoint(&bad).expect_err("NaN weight");
+    assert!(non_finite(&err), "{err}");
+    assert_eq!(state(&learner), before, "reject leaves the learner alone");
+
+    let err = ServeRuntime::from_checkpoint(&env, cfg, ServeConfig::default(), &bad)
+        .map(|_| ())
+        .expect_err("NaN weight");
+    assert!(
+        matches!(&err, ServeError::Load(e) if non_finite(e)),
+        "{err}"
+    );
+
+    let mut serve = ServeRuntime::from_checkpoint(&env, cfg, ServeConfig::default(), &good)
+        .expect("good checkpoint");
+    let live = |s: &ServeRuntime| -> Vec<u32> {
+        let weights = s.policy().parameter_vector();
+        weights.iter().map(|w| w.to_bits()).collect()
+    };
+    let before = live(&serve);
+    let err = serve.begin_reload(&bad).expect_err("NaN weight");
+    assert!(
+        matches!(&err, ServeError::Load(e) if non_finite(e)),
+        "{err}"
+    );
+    assert!(!serve.reload_in_flight(), "nothing staged");
+    assert_eq!(live(&serve), before, "live policy untouched");
+    let step = serve.serve_step(&env.reset(1)).expect("serve");
+    assert!(step.degraded.is_none(), "serving continues undegraded");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A disk-full failure torn mid-checkpoint-write must not damage the
 /// previous checkpoint: the atomic temp-then-rename protocol leaves
 /// the torn bytes in a `.tmp` sibling, the published file stays the
@@ -280,7 +347,7 @@ fn torn_checkpoint_write_leaves_previous_checkpoint_loadable() {
     let torn = PathBuf::from(format!("{}.tmp", round3.display()));
     assert!(torn.exists(), "torn write leaves a temp file behind");
     assert!(
-        pairuplight::Checkpoint::read(&torn).is_err(),
+        Checkpoint::read(&torn).is_err(),
         "half a checkpoint must not validate"
     );
     // ...the failed round's final file was never published...
@@ -328,4 +395,38 @@ fn retention_keeps_only_the_newest_checkpoints() {
     let (resumed, _) = PairUpLight::resume(&env, cfg, &latest).expect("resume");
     assert_eq!(resumed.episodes_trained(), 5);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a over the bits of every trainable scalar.
+fn param_digest(model: &PairUpLight) -> u64 {
+    let mut h = tsc_obs::det::Fnv64::new();
+    for bits in param_bits(model) {
+        h.word(u64::from(bits));
+    }
+    h.finish()
+}
+
+/// Pins `train`'s per-call seed schedule to digests recorded before
+/// `train` and `train_checkpointed` shared one round loop: with K = 1
+/// episode `i` of a call is seeded `base_seed + i`, with K > 1 rounds
+/// are numbered from 0 within the call. Each configuration calls
+/// `train` twice in a row with the same base seed, so the second call
+/// only matches if the schedule restarts at the call's own origin
+/// instead of continuing from the learner's lifetime counters.
+#[test]
+fn train_seed_schedule_matches_recorded_digests() {
+    let digests = |num_envs: usize| {
+        let mut cfg = small_cfg();
+        cfg.num_envs = num_envs;
+        let mut env = tiny_env();
+        let mut model = PairUpLight::new(&env, cfg);
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            model.train(&mut env, 3, 17, |_| {}).expect("train");
+            out.push(param_digest(&model));
+        }
+        out
+    };
+    assert_eq!(digests(1), [0x70bc_8771_6a5c_9700, 0xa940_ffeb_c841_e7c0]);
+    assert_eq!(digests(2), [0x8e83_97a6_0050_aee4, 0xba72_6454_115b_f015]);
 }
